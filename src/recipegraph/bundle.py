@@ -10,6 +10,7 @@ the core module so that tools can inspect broken graphs.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping
@@ -160,7 +161,7 @@ def _parse_recipe_doc(
     for n, t in typing.items():
         if n not in node_set:
             raise UnknownReferenceError(f"{path}.typing: node {n!r} is not in the recipe")
-        kind = "comestible" if n in set(coms) else "action"
+        kind = registry[n]
         h = hierarchies.for_kind(kind)
         if t not in h:
             raise UnknownReferenceError(
@@ -246,17 +247,24 @@ def canonical_json(doc) -> bytes:
     return (json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n").encode("utf-8")
 
 
+_DOT_ID = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_DOT_KEYWORDS = frozenset({"node", "edge", "graph", "digraph", "subgraph", "strict"})
+
+
 def export_dot(recipe: Recipe, name: str = "recipe") -> str:
     """Render a recipe in DOT: rounded boxes for comestibles, plain boxes for actions.
 
     Node labels are "<id>: <type>"; nodes and arcs appear in sorted order so
-    output is deterministic.
+    output is deterministic. The graph id is quoted unless it is a plain DOT
+    identifier.
     """
 
     def esc(text: str) -> str:
         return text.replace("\\", "\\\\").replace('"', '\\"')
 
-    lines = [f"digraph {name} {{"]
+    plain = _DOT_ID.fullmatch(name) and name.lower() not in _DOT_KEYWORDS
+    graph_id = name if plain else f'"{esc(name)}"'
+    lines = [f"digraph {graph_id} {{"]
     lines.append("  rankdir=TB;")
     for c in sorted(recipe.graph.comestibles):
         lines.append(

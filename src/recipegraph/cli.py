@@ -49,8 +49,6 @@ from .rewrite import (
 from .typekb import load_distances
 from .typesubst import CostModel, apply_substitution, cost, preferred_pair
 
-DEFAULT_BUDGET = 10**6
-
 OK, NEGATIVE, INPUT_ERROR, BUDGET = 0, 1, 2, 3
 _STATUS = {OK: "ok", NEGATIVE: "negative", INPUT_ERROR: "error", BUDGET: "budget"}
 
@@ -105,6 +103,10 @@ def _load_bundle(args) -> WorkspaceBundle:
     return parse_bundle(Path(args.bundle).read_bytes())
 
 
+def _say_recipe(report: _Report, recipe: Recipe):
+    report.say(canonical_json(recipe_doc(recipe)).decode("utf-8").rstrip("\n"))
+
+
 def _recipe_ref(ws: WorkspaceBundle, ref: str) -> Recipe:
     """Resolve a recipe reference: a bundle id, or a path to a recipe document."""
     if ref in ws.raw_recipes:
@@ -136,8 +138,7 @@ def _distances(ws: WorkspaceBundle, args):
     return ws.distances
 
 
-def cmd_validate(args, report: _Report) -> int:
-    ws = _load_bundle(args)
+def cmd_validate(args, ws: WorkspaceBundle, report: _Report) -> int:
     ids = args.ids or ws.recipe_ids()
     all_violations: dict[str, list[Violation]] = {}
     for rid in ids:
@@ -161,8 +162,7 @@ def cmd_validate(args, report: _Report) -> int:
     return report.emit(INPUT_ERROR if all_violations else OK)
 
 
-def cmd_roles(args, report: _Report) -> int:
-    ws = _load_bundle(args)
+def cmd_roles(args, ws: WorkspaceBundle, report: _Report) -> int:
     recipe = _recipe_ref(ws, args.recipe)
     rs = roles(recipe)
     report.data = {
@@ -178,8 +178,7 @@ def cmd_roles(args, report: _Report) -> int:
     return report.emit(OK)
 
 
-def cmd_compare(args, report: _Report) -> int:
-    ws = _load_bundle(args)
+def cmd_compare(args, ws: WorkspaceBundle, report: _Report) -> int:
     r1 = _recipe_ref(ws, args.first)
     r2 = _recipe_ref(ws, args.second)
     relation = args.relation
@@ -212,8 +211,7 @@ def cmd_compare(args, report: _Report) -> int:
     return report.emit(OK if holds else NEGATIVE)
 
 
-def cmd_compose(args, report: _Report) -> int:
-    ws = _load_bundle(args)
+def cmd_compose(args, ws: WorkspaceBundle, report: _Report) -> int:
     r1 = _recipe_ref(ws, args.first)
     r2 = _recipe_ref(ws, args.second)
     result = compose(r1, r2, ws.hierarchies)
@@ -226,12 +224,11 @@ def cmd_compose(args, report: _Report) -> int:
             report.diagnose(f"condition {v.condition} violated: {v.message}")
         return report.emit(NEGATIVE)
     report.data = {"composed": True, "recipe": recipe_doc(result)}
-    report.say(canonical_json(recipe_doc(result)).decode("utf-8").rstrip("\n"))
+    _say_recipe(report, result)
     return report.emit(OK)
 
 
-def cmd_closure(args, report: _Report) -> int:
-    ws = _load_bundle(args)
+def cmd_closure(args, ws: WorkspaceBundle, report: _Report) -> int:
     ids = args.ids or ws.recipe_ids()
     seeds = [_recipe_ref(ws, rid) for rid in ids]
     try:
@@ -261,19 +258,17 @@ def _sorted_docs(recipes) -> list[dict]:
     return docs
 
 
-def cmd_decompose(args, report: _Report) -> int:
-    ws = _load_bundle(args)
+def cmd_decompose(args, ws: WorkspaceBundle, report: _Report) -> int:
     recipe = _recipe_ref(ws, args.recipe)
     pieces = decompose(recipe, ws.hierarchies)
     report.data = {"count": len(pieces), "recipes": [recipe_doc(p) for p in pieces]}
     report.say(f"{len(pieces)} atomic piece(s)")
     for piece in pieces:
-        report.say(canonical_json(recipe_doc(piece)).decode("utf-8").rstrip("\n"))
+        _say_recipe(report, piece)
     return report.emit(OK)
 
 
-def cmd_accept(args, report: _Report) -> int:
-    ws = _load_bundle(args)
+def cmd_accept(args, ws: WorkspaceBundle, report: _Report) -> int:
     recipe = _recipe_ref(ws, args.recipe)
     accepts = _accepts(ws, args)
     violations = check_acceptable(recipe, accepts, ws.hierarchies)
@@ -295,8 +290,7 @@ def cmd_accept(args, report: _Report) -> int:
     return report.emit(OK if not violations else NEGATIVE)
 
 
-def cmd_substitute(args, report: _Report) -> int:
-    ws = _load_bundle(args)
+def cmd_substitute(args, ws: WorkspaceBundle, report: _Report) -> int:
     recipe = _recipe_ref(ws, args.recipe)
     bindings: dict[str, str] = {}
     for item in args.bind:
@@ -308,12 +302,11 @@ def cmd_substitute(args, report: _Report) -> int:
         bindings[node] = type_text
     result = apply_substitution(recipe, bindings, ws.hierarchies)
     report.data = {"recipe": recipe_doc(result)}
-    report.say(canonical_json(recipe_doc(result)).decode("utf-8").rstrip("\n"))
+    _say_recipe(report, result)
     return report.emit(OK)
 
 
-def cmd_plan(args, report: _Report) -> int:
-    ws = _load_bundle(args)
+def cmd_plan(args, ws: WorkspaceBundle, report: _Report) -> int:
     recipe = _recipe_ref(ws, args.recipe)
     accepts = _accepts(ws, args)
     model = CostModel(distances=_distances(ws, args), aggregation=args.aggregation)
@@ -344,8 +337,7 @@ def cmd_plan(args, report: _Report) -> int:
     return report.emit(OK)
 
 
-def cmd_rewrite(args, report: _Report) -> int:
-    ws = _load_bundle(args)
+def cmd_rewrite(args, ws: WorkspaceBundle, report: _Report) -> int:
     host = _recipe_ref(ws, args.recipe)
     part = _recipe_ref(ws, args.remove)
     replacement = _recipe_ref(ws, args.insert)
@@ -362,12 +354,11 @@ def cmd_rewrite(args, report: _Report) -> int:
             "normative": False,
         }
     report.data = {"applied": True, **report.data, "recipe": recipe_doc(result)}
-    report.say(canonical_json(recipe_doc(result)).decode("utf-8").rstrip("\n"))
+    _say_recipe(report, result)
     return report.emit(OK)
 
 
-def cmd_rewrite_seq(args, report: _Report) -> int:
-    ws = _load_bundle(args)
+def cmd_rewrite_seq(args, ws: WorkspaceBundle, report: _Report) -> int:
     host = _recipe_ref(ws, args.recipe)
     plan = json.loads(Path(args.plan).read_text(encoding="utf-8"))
     steps = []
@@ -397,12 +388,11 @@ def cmd_rewrite_seq(args, report: _Report) -> int:
             for v in violations:
                 report.diagnose(str(v))
             return report.emit(NEGATIVE)
-    report.say(canonical_json(recipe_doc(result)).decode("utf-8").rstrip("\n"))
+    _say_recipe(report, result)
     return report.emit(OK)
 
 
-def cmd_export_dot(args, report: _Report) -> int:
-    ws = _load_bundle(args)
+def cmd_export_dot(args, ws: WorkspaceBundle, report: _Report) -> int:
     recipe = _recipe_ref(ws, args.recipe)
     dot = export_dot(recipe, name=args.name)
     if args.out:
@@ -431,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--budget",
         type=int,
-        default=DEFAULT_BUDGET,
+        default=cmp_mod.DEFAULT_BUDGET,
         help="max search expansions before giving up (exit 3)",
     )
 
@@ -520,7 +510,9 @@ def run(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     report = _Report(args.command, args.format)
     try:
-        return args.func(args, report)
+        if args.budget < 0:
+            raise RecipeError(f"--budget must be a non-negative integer, got {args.budget}")
+        return args.func(args, _load_bundle(args), report)
     except (BudgetExceededError, ClosureLimitError) as exc:
         report.diagnose(str(exc))
         return report.emit(BUDGET)
@@ -543,3 +535,7 @@ def run(argv: list[str] | None = None) -> int:
 
 def main() -> None:  # pragma: no cover - thin wrapper
     sys.exit(run())
+
+
+if __name__ == "__main__":  # pragma: no cover
+    main()

@@ -51,6 +51,8 @@ class OrderMap:
 
 
 class _Budget:
+    """Expansion counter of every bounded search; overspending raises BudgetExceededError."""
+
     __slots__ = ("left", "limit")
 
     def __init__(self, limit: int):
@@ -64,8 +66,8 @@ class _Budget:
 
 
 def _signature(recipe: Recipe, n: str) -> tuple[str, int, int]:
-    kind = "c" if n in recipe.graph.comestibles else "a"
-    return (kind, recipe.graph.in_degree(n), recipe.graph.out_degree(n))
+    g = recipe.graph
+    return (g.kind_of(n), g.in_degree(n), g.out_degree(n))
 
 
 def _match_bijection(r1: Recipe, r2: Recipe, budget: _Budget, label_ok) -> dict[str, str] | None:
@@ -165,8 +167,8 @@ def more_specific(
     """
 
     def label_ok(n: str, m: str) -> bool:
-        kind = "comestible" if n in r1.graph.comestibles else "action"
-        return hierarchies.for_kind(kind).is_subtype(r1.type_of(n), r2.type_of(m))
+        h = hierarchies.for_kind(r1.graph.kind_of(n))
+        return h.is_subtype(r1.type_of(n), r2.type_of(m))
 
     found = _match_bijection(r1, r2, _Budget(budget), label_ok)
     if found is None:

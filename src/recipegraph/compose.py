@@ -70,7 +70,6 @@ def compose(
     r1: Recipe,
     r2: Recipe,
     hierarchies: Hierarchies,
-    match_subtypes: bool = False,
 ) -> Recipe | CompositionFailure:
     """Compose two recipes, or report every violated condition.
 
@@ -79,15 +78,7 @@ def compose(
     (e.g. a shared node that is an input on both sides); that disagreement is
     only checked once the six conditions pass, and is reported as condition
     "typing" since no consistent combined typing exists.
-
-    ``match_subtypes`` marks the relaxation of condition 5 that would glue a
-    node typed with a subtype on one side; it is deliberately unsupported and
-    requesting it raises NotImplementedError.
     """
-    if match_subtypes:
-        raise NotImplementedError(
-            "subtype matching on glue nodes is not supported; condition 5 requires type equality"
-        )
     conflict = (r1.graph.comestibles & r2.graph.actions) | (
         r2.graph.comestibles & r1.graph.actions
     )

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import InvalidRecipeError, UnknownNodeError
-from .typekb import Hierarchies
+from .typekb import Hierarchies, find_cycle
 
 Arc = tuple[str, str]
 
@@ -67,17 +68,34 @@ class RecipeGraph:
     def nodes(self) -> frozenset[str]:
         return self.comestibles | self.actions
 
+    @cached_property
+    def _adjacency(self) -> tuple[dict[str, tuple[str, ...]], dict[str, tuple[str, ...]]]:
+        """Successor and predecessor tuples per arc endpoint, built on first use."""
+        succ: dict[str, list[str]] = {}
+        pred: dict[str, list[str]] = {}
+        for s, t in self.arcs:
+            succ.setdefault(s, []).append(t)
+            pred.setdefault(t, []).append(s)
+        return (
+            {n: tuple(ts) for n, ts in succ.items()},
+            {n: tuple(ss) for n, ss in pred.items()},
+        )
+
     def in_degree(self, n: str) -> int:
-        return sum(1 for _, t in self.arcs if t == n)
+        return len(self._adjacency[1].get(n, ()))
 
     def out_degree(self, n: str) -> int:
-        return sum(1 for s, _ in self.arcs if s == n)
+        return len(self._adjacency[0].get(n, ()))
 
     def successors(self, n: str) -> frozenset[str]:
-        return frozenset(t for s, t in self.arcs if s == n)
+        return frozenset(self._adjacency[0].get(n, ()))
 
     def predecessors(self, n: str) -> frozenset[str]:
-        return frozenset(s for s, t in self.arcs if t == n)
+        return frozenset(self._adjacency[1].get(n, ()))
+
+    def kind_of(self, n: str) -> str:
+        """The kind of hierarchy that types ``n``: "comestible" or "action"."""
+        return "comestible" if n in self.comestibles else "action"
 
 
 def recipe_graph(
@@ -130,10 +148,11 @@ def validate_recipe_graph(graph: RecipeGraph) -> list[Violation]:
 
     nodes = coms | acts
     if nodes:
-        cycle = _find_cycle(nodes, arcs)
+        succ = graph._adjacency[0]
+        cycle = find_cycle({n: succ.get(n, ()) for n in nodes})
         if cycle:
             violations.append(Violation("3", "graph contains a cycle", nodes=cycle))
-        component = _component(next(iter(sorted(nodes))), nodes, arcs)
+        component = _component(graph, min(nodes))
         if component != nodes:
             outside = tuple(sorted(nodes - component))
             violations.append(Violation("3", "graph is not connected", nodes=outside))
@@ -153,49 +172,16 @@ def validate_recipe_graph(graph: RecipeGraph) -> list[Violation]:
     return violations
 
 
-def _find_cycle(nodes: frozenset[str], arcs: frozenset[Arc]) -> tuple[str, ...] | None:
-    succ: dict[str, list[str]] = {n: [] for n in nodes}
-    for s, t in arcs:
-        if s in succ and t in succ:
-            succ[s].append(t)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in nodes}
-    stack: list[str] = []
-
-    def visit(n: str) -> tuple[str, ...] | None:
-        color[n] = GRAY
-        stack.append(n)
-        for m in sorted(succ[n]):
-            if color[m] == GRAY:
-                return tuple(stack[stack.index(m):] + [m])
-            if color[m] == WHITE:
-                found = visit(m)
-                if found:
-                    return found
-        stack.pop()
-        color[n] = BLACK
-        return None
-
-    for n in sorted(nodes):
-        if color[n] == WHITE:
-            found = visit(n)
-            if found:
-                return found
-    return None
-
-
-def _component(start: str, nodes: frozenset[str], arcs: frozenset[Arc]) -> frozenset[str]:
-    neighbours: dict[str, set[str]] = {n: set() for n in nodes}
-    for s, t in arcs:
-        if s in neighbours and t in neighbours:
-            neighbours[s].add(t)
-            neighbours[t].add(s)
+def _component(graph: RecipeGraph, start: str) -> frozenset[str]:
+    """Nodes joined to ``start`` by arcs in either direction, within the node set."""
+    nodes = graph.nodes
+    succ, pred = graph._adjacency
     seen = {start}
     queue = deque([start])
     while queue:
         cur = queue.popleft()
-        for nxt in neighbours[cur]:
-            if nxt not in seen:
+        for nxt in succ.get(cur, ()) + pred.get(cur, ()):
+            if nxt not in seen and nxt in nodes:
                 seen.add(nxt)
                 queue.append(nxt)
     return frozenset(seen)
@@ -295,7 +281,7 @@ def typing_violations(
 
     resolved: dict[str, str] = {}
     for n in sorted(nodes & set(typing)):
-        kind = "comestible" if n in graph.comestibles else "action"
+        kind = graph.kind_of(n)
         own = hierarchies.for_kind(kind)
         text = typing[n]
         if text in own:
@@ -345,7 +331,7 @@ def make_recipe(
     if violations:
         raise InvalidRecipeError(violations)
     canonical = {
-        n: hierarchies.for_kind("comestible" if n in graph.comestibles else "action").resolve(t)
+        n: hierarchies.for_kind(graph.kind_of(n)).resolve(t)
         for n, t in typing.items()
     }
     return Recipe(graph, canonical)
@@ -369,10 +355,9 @@ def build_recipe(
 def roles(recipe: Recipe | RecipeGraph) -> RoleSets:
     """Partition comestibles: inputs have no incoming arc, outputs no outgoing arc."""
     graph = recipe.graph if isinstance(recipe, Recipe) else recipe
-    has_in = {t for _, t in graph.arcs}
-    has_out = {s for s, _ in graph.arcs}
-    inputs = frozenset(c for c in graph.comestibles if c not in has_in)
-    outputs = frozenset(c for c in graph.comestibles if c not in has_out)
+    succ, pred = graph._adjacency
+    inputs = frozenset(c for c in graph.comestibles if c not in pred)
+    outputs = frozenset(c for c in graph.comestibles if c not in succ)
     mids = graph.comestibles - inputs - outputs
     return RoleSets(inputs, outputs, mids)
 

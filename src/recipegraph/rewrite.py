@@ -29,13 +29,8 @@ from .core import (
     roles,
     validate_recipe_graph,
 )
-from .errors import (
-    BudgetExceededError,
-    InvalidRecipeError,
-    NotSubrecipeError,
-    RewriteFailureError,
-)
-from .compare import is_subrecipe
+from .errors import InvalidRecipeError, NotSubrecipeError, RewriteFailureError
+from .compare import _Budget, is_subrecipe
 from .typekb import DistanceModel, Hierarchies
 
 
@@ -83,6 +78,10 @@ def front(host: Recipe, part: Recipe) -> frozenset[str]:
     """
     if not is_subrecipe(part, host):
         raise NotSubrecipeError("front is only defined for subrecipes")
+    return _front(host, part)
+
+
+def _front(host: Recipe, part: Recipe) -> frozenset[str]:
     host_roles, part_roles = roles(host), roles(part)
     return (part_roles.outputs - host_roles.outputs) | (
         part_roles.inputs - host_roles.inputs
@@ -91,24 +90,29 @@ def front(host: Recipe, part: Recipe) -> frozenset[str]:
 
 def is_untrimmed_subrecipe(part: Recipe, host: Recipe) -> bool:
     """True iff ``part`` is a subrecipe keeping every comestible its actions touch."""
-    if not is_subrecipe(part, host):
-        return False
+    return is_subrecipe(part, host) and _keeps_touched(part, host)
+
+
+def _keeps_touched(part: Recipe, host: Recipe) -> bool:
     part_nodes = part.graph.nodes
-    for a in part.graph.actions:
-        for c in host.graph.predecessors(a) | host.graph.successors(a):
-            if c not in part_nodes:
-                return False
-    return True
+    return all(
+        (host.graph.predecessors(a) | host.graph.successors(a)) <= part_nodes
+        for a in part.graph.actions
+    )
 
 
 def is_parallel(part: Recipe, replacement: Recipe, host: Recipe) -> bool:
     """True iff the replacement offers arcs in the part's directions at each front node."""
-    for c in front(host, part):
-        for (s, t) in part.graph.arcs:
-            if s == c and not any(s2 == c for s2, _ in replacement.graph.arcs):
-                return False
-            if t == c and not any(t2 == c for _, t2 in replacement.graph.arcs):
-                return False
+    return _parallel_at(front(host, part), part, replacement)
+
+
+def _parallel_at(fr: frozenset[str], part: Recipe, replacement: Recipe) -> bool:
+    g, r = part.graph, replacement.graph
+    for c in fr:
+        if g.out_degree(c) and not r.out_degree(c):
+            return False
+        if g.in_degree(c) and not r.in_degree(c):
+            return False
     return True
 
 
@@ -128,13 +132,13 @@ def structural_substitute(
     """
     violations: list[Violation] = []
 
-    untrimmed = is_untrimmed_subrecipe(part, host)
-    if not untrimmed:
+    subrecipe = is_subrecipe(part, host)
+    if not (subrecipe and _keeps_touched(part, host)):
         violations.append(
             Violation("iii", "the removed part is not an untrimmed subrecipe of the host")
         )
-    if is_subrecipe(part, host):
-        fr = front(host, part)
+    if subrecipe:
+        fr = _front(host, part)
         repl_roles = roles(replacement)
         missing = fr - (repl_roles.inputs | repl_roles.outputs)
         if missing:
@@ -145,7 +149,7 @@ def structural_substitute(
                     nodes=tuple(sorted(missing)),
                 )
             )
-        if not is_parallel(part, replacement, host):
+        if not _parallel_at(fr, part, replacement):
             violations.append(
                 Violation("ii", "replacement arcs do not match the part's directions at the front")
             )
@@ -279,18 +283,15 @@ def search_secondary_steps(
         raise RewriteFailureError(after_primary)
 
     found: list[tuple[RewriteStep, ...]] = []
-    spent = 0
+    b = _Budget(budget)
 
     def extend(current: Recipe, chosen: tuple[RewriteStep, ...]):
-        nonlocal spent
         if not check_acceptable(current, accepts, hierarchies):
             found.append(chosen)
         if len(chosen) == max_steps:
             return
         for step in library:
-            spent += 1
-            if spent > budget:
-                raise BudgetExceededError(budget)
+            b.spend()
             result = structural_substitute(current, step.remove, step.insert, hierarchies)
             if isinstance(result, RewriteFailure):
                 continue

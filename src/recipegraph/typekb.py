@@ -219,7 +219,7 @@ def load_hierarchy(doc: Mapping) -> TypeHierarchy:
             if p not in parents:
                 raise DanglingEdgeError(t, p)
 
-    cycle = _find_cycle(parents)
+    cycle = find_cycle(parents)
     if cycle is not None:
         raise CycleDetectedError(cycle)
 
@@ -236,32 +236,42 @@ def load_hierarchy(doc: Mapping) -> TypeHierarchy:
     return TypeHierarchy(kind, root, parents, aliases)
 
 
-def _find_cycle(parents: Mapping[str, frozenset[str]]) -> tuple[str, ...] | None:
-    """Return one directed cycle of the child->parent relation, if any."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {t: WHITE for t in parents}
-    stack: list[str] = []
+def find_cycle(succ: Mapping[str, Iterable[str]]) -> tuple[str, ...] | None:
+    """One directed cycle as a closed walk (first node repeated last), or None.
 
-    def visit(t: str) -> tuple[str, ...] | None:
-        color[t] = GRAY
-        stack.append(t)
-        for p in sorted(parents[t]):
-            if color[p] == GRAY:
-                return tuple(stack[stack.index(p):] + [p])
-            if color[p] == WHITE:
-                found = visit(p)
-                if found:
-                    return found
-        stack.pop()
-        color[t] = BLACK
+    ``succ`` maps every node to its successors; successors that are not keys
+    are ignored. Kahn's topological peel removes nodes with no remaining
+    predecessor. Every node it leaves has a predecessor among the survivors,
+    so walking predecessors from the least survivor must repeat a node.
+    """
+    indegree = dict.fromkeys(succ, 0)
+    for targets in succ.values():
+        for t in targets:
+            if t in indegree:
+                indegree[t] += 1
+    ready = [n for n, d in indegree.items() if d == 0]
+    while ready:
+        n = ready.pop()
+        del indegree[n]
+        for t in succ[n]:
+            if t in indegree:
+                indegree[t] -= 1
+                if indegree[t] == 0:
+                    ready.append(t)
+    if not indegree:
         return None
-
-    for t in sorted(parents):
-        if color[t] == WHITE:
-            found = visit(t)
-            if found:
-                return found
-    return None
+    pred: dict[str, list[str]] = {n: [] for n in indegree}
+    for n in indegree:
+        for t in succ[n]:
+            if t in pred:
+                pred[t].append(n)
+    walk: dict[str, int] = {}
+    cur = min(indegree)
+    while cur not in walk:
+        walk[cur] = len(walk)
+        cur = min(pred[cur])
+    back = list(walk)[walk[cur]:]
+    return (cur, *reversed(back))
 
 
 @dataclass(frozen=True)

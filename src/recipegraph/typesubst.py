@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .acceptability import AcceptabilitySet, check_acceptable
-from .compare import NodeBijection, isomorphic
+from .compare import DEFAULT_BUDGET, NodeBijection, _Budget, isomorphic
 from .core import Recipe, make_recipe
 from .errors import (
-    BudgetExceededError,
     InvalidRecipeError,
     NoSolutionError,
     NotIsomorphicError,
@@ -27,7 +26,6 @@ from .typekb import DistanceModel, Hierarchies
 
 SubstitutionSet = Mapping[str, str]
 
-DEFAULT_BUDGET = 10**6
 DEFAULT_RADIUS = 2
 
 
@@ -122,7 +120,7 @@ def cost(
     for n, t in sorted(bindings.items()):
         if n not in recipe.typing:
             continue
-        kind = "comestible" if n in recipe.graph.comestibles else "action"
+        kind = recipe.graph.kind_of(n)
         h = hierarchies.for_kind(kind)
         if t not in h:
             raise UnknownTypeError(t, kind)
@@ -171,19 +169,6 @@ def default_candidates(
     return candidates
 
 
-class _Budget:
-    __slots__ = ("left", "limit")
-
-    def __init__(self, limit: int):
-        self.left = limit
-        self.limit = limit
-
-    def spend(self):
-        self.left -= 1
-        if self.left < 0:
-            raise BudgetExceededError(self.limit)
-
-
 def _acceptable_after(
     recipe: Recipe,
     bindings: Mapping[str, str],
@@ -204,7 +189,7 @@ def _minimal_repairs(
     accepts: AcceptabilitySet,
     hierarchies: Hierarchies,
     candidates: Mapping[str, Sequence[str]],
-    budget: "_Budget",
+    budget: _Budget,
     max_size: int | None = None,
 ) -> list[dict[str, str]]:
     """Every subset-minimal repair over the candidate space, smallest first.
@@ -284,7 +269,7 @@ def _min_repair_cost(
     hierarchies: Hierarchies,
     candidates: Mapping[str, Sequence[str]],
     model: CostModel,
-    budget: "_Budget",
+    budget: _Budget,
     max_size: int | None = None,
 ) -> tuple[float, dict[str, str]] | None:
     """Cheapest acceptability-restoring secondary set for a fixed primary, or None."""
@@ -319,8 +304,8 @@ def resolve_unavailable(
         if mark in recipe.graph.nodes:
             nodes.add(mark)
             t = recipe.type_of(mark)
-            kind = "comestible" if mark in recipe.graph.comestibles else "action"
-            banned |= {t} | set(hierarchies.for_kind(kind).descendants(t))
+            h = hierarchies.for_kind(recipe.graph.kind_of(mark))
+            banned |= {t} | set(h.descendants(t))
             continue
         kind = hierarchies.kind_of_type(mark)
         if kind is None:
@@ -330,8 +315,7 @@ def resolve_unavailable(
         unavailable_types = {t} | set(h.descendants(t))
         banned |= unavailable_types
         for n in recipe.graph.nodes:
-            node_kind = "comestible" if n in recipe.graph.comestibles else "action"
-            if node_kind == kind and recipe.type_of(n) in unavailable_types:
+            if recipe.graph.kind_of(n) == kind and recipe.type_of(n) in unavailable_types:
                 nodes.add(n)
     return frozenset(nodes), frozenset(banned)
 
@@ -379,8 +363,7 @@ def preferred_pair(
         pool = list(candidates.get(n, ()))
         if not pool:
             return None
-        kind = "comestible" if n in recipe.graph.comestibles else "action"
-        h = hierarchies.for_kind(kind)
+        h = hierarchies.for_kind(recipe.graph.kind_of(n))
         priced = sorted(
             (model.distances.distance(h, recipe.type_of(n), t), t) for t in pool
         )

@@ -198,6 +198,15 @@ class TestAcceptAndPlan:
         assert code == 3
         assert report["status"] == "budget"
 
+    def test_negative_budget_is_an_input_error(self, capsys, bundle_path):
+        code, report = run_json(
+            capsys, "plan", "-b", bundle_path, "vegetable-soup", "--missing", "barley",
+            "--budget", "-5",
+        )
+        assert code == 2
+        assert report["status"] == "error"
+        assert "--budget" in report["diagnostics"][0]
+
 
 class TestRewriteCommands:
     def test_rewrite_with_document_files(self, capsys, bundle_path, tmp_path, corpus, induced):
@@ -289,6 +298,36 @@ class TestExportDot:
         code = run(["export-dot", "-b", bundle_path, "hummus", "--out", str(target)])
         assert code == 0
         assert target.read_text().startswith("digraph recipe {")
+
+    def test_graph_id_is_quoted_unless_plain(self, capsys, bundle_path):
+        cases = (
+            ("a-b", 'digraph "a-b" {'),
+            ("graph", 'digraph "graph" {'),
+            ("dish_2", "digraph dish_2 {"),
+        )
+        for name, header in cases:
+            code = run(["export-dot", "-b", bundle_path, "boil-atomic", "--name", name])
+            assert code == 0
+            assert capsys.readouterr().out.startswith(header + "\n")
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_cli(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import recipegraph
+
+        src = str(Path(recipegraph.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-m", "recipegraph.cli", "validate", "boil-atomic"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0
+        assert done.stdout == "boil-atomic: ok\n"
 
 
 class TestReportShape:

@@ -137,15 +137,6 @@ class TestCompose:
         assert result.conditions == {"result"}
         assert any("x3" in v.nodes for v in result.violations)
 
-    def test_subtype_glue_matching_is_explicitly_unsupported(self, corpus, hierarchies):
-        with pytest.raises(NotImplementedError):
-            compose(
-                corpus.recipe("boil-chain"),
-                corpus.recipe("drain-chain"),
-                hierarchies,
-                match_subtypes=True,
-            )
-
     def test_cross_kind_node_reuse_is_an_error(self, corpus, hierarchies):
         from recipegraph.core import build_recipe
 

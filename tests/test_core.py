@@ -48,10 +48,25 @@ class TestValidateRecipeGraph:
         g = bipartite_union(
             corpus.recipe("chop-tomato").graph, corpus.recipe("tomato-loop").graph
         )
-        found = validate_recipe_graph(g)
-        assert conditions(found) == {"3"}
-        [violation] = found
-        assert "cycle" in violation.message
+        # a chain of 600 actions nests deeper than the interpreter's recursion
+        # limit; it is valid, and one back arc closes a cycle along all of it
+        coms = [f"c{i:03d}" for i in range(601)]
+        acts = [f"a{i:03d}" for i in range(600)]
+        chain = recipe_graph(
+            coms, acts, [*zip(coms, acts), *zip(acts, coms[1:])]
+        )
+        assert validate_recipe_graph(chain) == []
+        looped = recipe_graph(coms, acts, chain.arcs | {("c600", "a000")})
+
+        for graph, length in ((g, None), (looped, 1201)):
+            found = validate_recipe_graph(graph)
+            assert conditions(found) == {"3"}
+            [violation] = found
+            assert "cycle" in violation.message
+            cycle = violation.nodes
+            assert cycle[0] == cycle[-1]
+            assert set(zip(cycle, cycle[1:])) <= graph.arcs
+            assert length is None or len(cycle) == length
 
     def test_disconnected_is_condition_3(self):
         g = recipe_graph(

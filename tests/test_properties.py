@@ -83,10 +83,15 @@ class TestGeneratedGraphs:
             broken = breaker(rng, recipe)
             if broken is None:
                 continue
-            found = {v.condition for v in validate_recipe_graph(broken)}
+            violations = validate_recipe_graph(broken)
+            found = {v.condition for v in violations}
             assert condition in found
             if condition != "1":
                 assert found == {condition}
+            if condition == "3":
+                [cycle] = [v.nodes for v in violations if "cycle" in v.message]
+                assert cycle[0] == cycle[-1]
+                assert set(zip(cycle, cycle[1:])) <= broken.arcs
 
     @PROPERTY_SETTINGS
     @given(recipe=recipes, seed=st.integers(0, 10**6))

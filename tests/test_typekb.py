@@ -64,6 +64,21 @@ class TestLoadHierarchy:
             load_hierarchy(doc)
         assert set(err.value.cycle) >= {"a", "b"}
 
+        # 1200 levels whose ids sort child before parent load; one more parent
+        # link from the top of the chain back to its leaf closes a long cycle
+        ids = [f"t{i:04d}" for i in range(1200)]
+        types = [{"id": t, "parents": [p]} for t, p in zip(ids, ids[1:])]
+        types.append({"id": ids[-1], "parents": []})
+        assert load_hierarchy(hdoc(types, root=ids[-1])).depth == 1199
+        types[-2]["parents"].append(ids[0])
+        with pytest.raises(CycleDetectedError) as err:
+            load_hierarchy(hdoc(types, root=ids[-1]))
+        cycle = err.value.cycle
+        parents = {t["id"]: t["parents"] for t in types}
+        assert cycle[0] == cycle[-1]
+        assert all(p in parents[t] for t, p in zip(cycle, cycle[1:]))
+        assert set(cycle) == set(ids[:-1])
+
     def test_multiple_parentless_nodes_are_rejected(self):
         doc = hdoc(
             [
