@@ -23,6 +23,7 @@ from . import compare as cmp_mod
 from .acceptability import check_acceptable, load_acceptability
 from .bundle import (
     WorkspaceBundle,
+    _check,
     canonical_json,
     export_dot,
     load_corpus,
@@ -114,11 +115,33 @@ def _recipe_ref(ws: WorkspaceBundle, ref: str) -> Recipe:
     path = Path(ref)
     if path.suffix == ".json" and path.exists():
         doc = json.loads(path.read_text(encoding="utf-8"))
+        _check(isinstance(doc, dict), ref, "expected a recipe object")
+        for key in ("comestibles", "actions"):
+            ids = doc.get(key, [])
+            _check(
+                isinstance(ids, list) and all(isinstance(n, str) for n in ids),
+                f"{ref}.{key}",
+                "expected a list of node ids",
+            )
+        arcs = doc.get("arcs", [])
+        _check(isinstance(arcs, list), f"{ref}.arcs", "expected a list")
+        for j, arc in enumerate(arcs):
+            _check(
+                isinstance(arc, list) and len(arc) == 2 and all(isinstance(x, str) for x in arc),
+                f"{ref}.arcs[{j}]",
+                "expected a [from, to] pair",
+            )
+        typing = doc.get("typing", {})
+        _check(
+            isinstance(typing, dict) and all(isinstance(t, str) for t in typing.values()),
+            f"{ref}.typing",
+            "expected an object mapping node ids to type names",
+        )
         return build_recipe(
             doc.get("comestibles", []),
             doc.get("actions", []),
-            [tuple(a) for a in doc.get("arcs", [])],
-            doc.get("typing", {}),
+            [tuple(a) for a in arcs],
+            typing,
             ws.hierarchies,
         )
     raise RecipeError(f"no recipe named {ref!r} in the bundle and no such file")
@@ -361,9 +384,18 @@ def cmd_rewrite(args, ws: WorkspaceBundle, report: _Report) -> int:
 def cmd_rewrite_seq(args, ws: WorkspaceBundle, report: _Report) -> int:
     host = _recipe_ref(ws, args.recipe)
     plan = json.loads(Path(args.plan).read_text(encoding="utf-8"))
+    _check(isinstance(plan, dict), args.plan, "expected a plan object")
     steps = []
     for phase in ("primary", "secondary"):
-        for sdoc in plan.get(phase, []):
+        sdocs = plan.get(phase, [])
+        _check(isinstance(sdocs, list), f"{args.plan}.{phase}", "expected a list of steps")
+        for i, sdoc in enumerate(sdocs):
+            _check(
+                isinstance(sdoc, dict)
+                and all(isinstance(sdoc.get(k), str) for k in ("remove", "insert")),
+                f"{args.plan}.{phase}[{i}]",
+                'expected {"remove": recipe, "insert": recipe}',
+            )
             steps.append(
                 RewriteStep(
                     remove=_recipe_ref(ws, sdoc["remove"]),

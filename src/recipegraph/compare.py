@@ -59,8 +59,9 @@ class _Budget:
         self.left = limit
         self.limit = limit
 
-    def spend(self):
-        self.left -= 1
+    def spend(self, n: int = 1):
+        """Charge ``n`` expansions at once."""
+        self.left -= n
         if self.left < 0:
             raise BudgetExceededError(self.limit)
 

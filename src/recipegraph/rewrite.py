@@ -327,61 +327,91 @@ def structural_cost(
     Minimizes, over injective same-kind node matchings that are total on the
     smaller side, the weighted count of unmatched nodes and unpreserved arcs
     plus the summed type distance of matched pairs.
+
+    Branch and bound over the nodes of ``r1``, actions before comestibles so
+    that arcs are decided early. After deciding the first ``i`` nodes at
+    label cost ``spent``, every completion costs at least
+
+        spent + tail[i]
+        + edit_weight * (unmatched + |A1| + |A2| - 2 * min(|A1|, |A2|, carried + open))
+
+    where ``tail[i]`` sums each remaining node's cheapest partner cost (0 for
+    a node that may stay unmatched), ``carried`` counts the arcs of ``r1``
+    already carried onto arcs of ``r2`` and ``open`` the arcs of ``r1`` with
+    an end not yet decided. A partial matching whose bound reaches the best
+    total found is pruned; the bound is admissible, so the minimum is exact.
     """
     if model is None:
         model = StructuralCostModel()
-    coms1, coms2 = sorted(r1.graph.comestibles), sorted(r2.graph.comestibles)
-    acts1, acts2 = sorted(r1.graph.actions), sorted(r2.graph.actions)
+    w = model.edit_weight
+    arcs1, arcs2 = r1.graph.arcs, r2.graph.arcs
+    n_arcs = len(arcs1) + len(arcs2)
+    max_carried = min(len(arcs1), len(arcs2))
 
-    pair_cost: dict[tuple[str, str], float] = {}
-    for kind, left, right in (("comestible", coms1, coms2), ("action", acts1, acts2)):
+    # one entry per node of r1: (node, kind, partners by cost, cheapest cost)
+    order: list[tuple[str, str, list[tuple[float, str]], float]] = []
+    excess: dict[str, int] = {}
+    unmatched = 0
+    for kind, left, right in (
+        ("action", r1.graph.actions, r2.graph.actions),
+        ("comestible", r1.graph.comestibles, r2.graph.comestibles),
+    ):
         h = hierarchies.for_kind(kind)
-        for n in left:
-            for m in right:
-                pair_cost[(n, m)] = model.distances.distance(
-                    h, r1.type_of(n), r2.type_of(m)
-                )
+        excess[kind] = len(left) - len(right)
+        unmatched += abs(excess[kind])
+        for n in sorted(left):
+            partners = sorted(
+                (model.distances.distance(h, r1.type_of(n), r2.type_of(m)), m)
+                for m in right
+            )
+            cheapest = partners[0][0] if partners and excess[kind] <= 0 else 0.0
+            order.append((n, kind, partners, cheapest))
+    tail = [0.0] * (len(order) + 1)
+    for i in range(len(order) - 1, -1, -1):
+        tail[i] = tail[i + 1] + order[i][3]
+    # arcs of r1 are decided by their later endpoint in ``order``
+    position = {n: i for i, (n, *_) in enumerate(order)}
+    closing: list[list[tuple[str, str]]] = [[] for _ in order]
+    for s, t in arcs1:
+        closing[max(position[s], position[t])].append((s, t))
 
-    unmatched = (
-        abs(len(coms1) - len(coms2)) + abs(len(acts1) - len(acts2))
-    )
-
+    mapping: dict[str, str] = {}
+    used: set[str] = set()
+    skipped = dict.fromkeys(excess, 0)
     best: float | None = None
 
-    def arc_edits(mapping: dict[str, str]) -> int:
-        carried = sum(
-            1
-            for (s, t) in r1.graph.arcs
-            if s in mapping and t in mapping and (mapping[s], mapping[t]) in r2.graph.arcs
-        )
-        return (len(r1.graph.arcs) - carried) + (len(r2.graph.arcs) - carried)
-
-    def assign(kind_pairs: list[tuple[list[str], list[str]]], mapping: dict[str, str], spent: float):
+    def walk(i: int, spent: float, carried: int, open_: int):
         nonlocal best
-        if best is not None and spent >= best:
+        bound = spent + tail[i] + w * (
+            unmatched + n_arcs - 2 * min(max_carried, carried + open_)
+        )
+        if best is not None and bound >= best:
             return
-        if not kind_pairs:
-            total = spent + model.edit_weight * (unmatched + arc_edits(mapping))
-            if best is None or total < best:
-                best = total
+        if i == len(order):
+            best = bound  # every arc is decided: the bound is the total
             return
-        (left, right), rest = kind_pairs[0], kind_pairs[1:]
-        if not left or not right:
-            assign(rest, mapping, spent)
-            return
-        n, remaining = left[0], left[1:]
-        if len(left) > len(right):
-            # n may stay unmatched when the left side is larger
-            assign([(remaining, right)] + rest, mapping, spent)
-        for i, m in enumerate(right):
+        n, kind, partners, _ = order[i]
+        arcs_here = closing[i]
+        open_ -= len(arcs_here)
+        if skipped[kind] < excess[kind]:
+            # n may stay unmatched while r1 has spare nodes of its kind
+            skipped[kind] += 1
+            walk(i + 1, spent, carried, open_)
+            skipped[kind] -= 1
+        for d, m in partners:
+            if m in used:
+                continue
             mapping[n] = m
-            assign(
-                [(remaining, right[:i] + right[i + 1:])] + rest,
-                mapping,
-                spent + pair_cost[(n, m)],
+            used.add(m)
+            kept = sum(
+                1
+                for s, t in arcs_here
+                if s in mapping and t in mapping and (mapping[s], mapping[t]) in arcs2
             )
+            walk(i + 1, spent + d, carried + kept, open_)
+            used.discard(m)
             del mapping[n]
 
-    assign([(coms1, coms2), (acts1, acts2)], {}, 0.0)
+    walk(0, 0.0, 0, len(arcs1))
     assert best is not None
     return best

@@ -10,14 +10,14 @@ acceptability-restoring combination of least total type distance.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .acceptability import AcceptabilitySet, check_acceptable
+from .acceptability import AcceptabilitySet, AcceptTuple, _licensed, arc_triples
 from .compare import DEFAULT_BUDGET, NodeBijection, _Budget, isomorphic
-from .core import Recipe, make_recipe
+from .core import Recipe, make_recipe, typing_violations
 from .errors import (
-    InvalidRecipeError,
     NoSolutionError,
     NotIsomorphicError,
     UnknownTypeError,
@@ -169,18 +169,131 @@ def default_candidates(
     return candidates
 
 
-def _acceptable_after(
-    recipe: Recipe,
-    bindings: Mapping[str, str],
-    accepts: AcceptabilitySet,
-    hierarchies: Hierarchies,
-) -> bool:
-    """Apply bindings and check acceptability; invalid typings count as failures."""
-    try:
-        candidate = apply_substitution(recipe, bindings, hierarchies)
-    except InvalidRecipeError:
-        return False
-    return not check_acceptable(candidate, accepts, hierarchies)
+class _RepairChecker:
+    """Acceptability under one fixed primary, checked only where a rebinding acts.
+
+    Built once per primary. It resolves the primary-applied typing and keeps
+    the node set of every violation under the primary alone in
+    ``conflicts``: the typing violations that ``typing_violations`` reports
+    and the unlicensed arc triples. A secondary assignment leaves a violation
+    in place unless it rebinds one of its nodes, so a domain that misses a
+    conflict set cannot repair (``can_repair``). On a domain that hits them
+    all, only the comestible pairs and arc triples touching a rebound node
+    can change, and ``for_domain`` checks just those. On such a domain it
+    agrees with ``apply_substitution`` followed by ``check_acceptable``.
+    """
+
+    def __init__(
+        self,
+        recipe: Recipe,
+        primary: Mapping[str, str],
+        accepts: AcceptabilitySet,
+        hierarchies: Hierarchies,
+    ):
+        graph = recipe.graph
+        typing = dict(recipe.typing)
+        for n, t in primary.items():
+            if n in typing:
+                typing[n] = t
+        self._graph = graph
+        self._hierarchies = hierarchies
+        self._accepts = accepts
+        self._licensed: dict[tuple[str, str, str], bool] = {}
+        self._near: dict[str, frozenset[str]] = {}
+        self.conflicts = [
+            frozenset(v.nodes) for v in typing_violations(graph, typing, hierarchies)
+        ]
+        self._types: dict[str, str] = {}
+        for n, t in typing.items():
+            h = hierarchies.for_kind(graph.kind_of(n))
+            if t in h:
+                self._types[n] = h.resolve(t)
+        self._triples_at: dict[str, list[tuple[str, str, str]]] = {}
+        for triple in arc_triples(recipe):
+            for n in triple:
+                self._triples_at.setdefault(n, []).append(triple)
+            if all(n in self._types for n in triple) and not self._licenses(
+                tuple(self._types[n] for n in triple)
+            ):
+                self.conflicts.append(frozenset(triple))
+
+    def _licenses(self, types: tuple[str, str, str]) -> bool:
+        ok = self._licensed.get(types)
+        if ok is None:
+            ok = self._licensed[types] = _licensed(
+                AcceptTuple(*types), self._accepts, self._hierarchies
+            )
+        return ok
+
+    def _comparable_to(self, t: str) -> frozenset[str]:
+        near = self._near.get(t)
+        if near is None:
+            h = self._hierarchies.comestible
+            near = self._near[t] = h.ancestors(t) | h.descendants(t)
+        return near
+
+    def can_repair(self, domain: Sequence[str]) -> bool:
+        """False when rebinding ``domain`` leaves some violation untouched."""
+        return all(not c.isdisjoint(domain) for c in self.conflicts)
+
+    def for_domain(
+        self, domain: Sequence[str], candidates: Mapping[str, Sequence[str]]
+    ) -> tuple[list[list[tuple[str, str]]], Callable[[Mapping[str, str]], bool]]:
+        """The admitted candidates per node of ``domain``, and the check of a choice.
+
+        A candidate comes paired with its canonical type. It is dropped when
+        it names no type of the node's kind, makes the node comparable to a
+        comestible outside the domain, or completes an unlicensed triple whose
+        other nodes lie outside the domain: no assignment that contains it
+        can be acceptable. The returned check takes one admitted canonical
+        type per domain node and tests the comestible pairs and arc triples
+        with two or more rebound nodes.
+        """
+        graph, fixed = self._graph, self._types
+        outside = [c for c in graph.comestibles if c not in domain]
+        pools = []
+        for n in domain:
+            h = self._hierarchies.for_kind(graph.kind_of(n))
+            lone = [
+                triple
+                for triple in self._triples_at.get(n, ())
+                if all(m == n or m not in domain for m in triple)
+            ]
+            pool = []
+            for text in candidates[n]:
+                if text not in h:
+                    continue
+                t = h.resolve(text)
+                if n in graph.comestibles:
+                    near = self._comparable_to(t)
+                    if any(fixed[c] in near for c in outside):
+                        continue
+                if all(
+                    self._licenses(tuple(t if m == n else fixed[m] for m in triple))
+                    for triple in lone
+                ):
+                    pool.append((text, t))
+            pools.append(pool)
+
+        coms = [n for n in domain if n in graph.comestibles]
+        shared = {
+            triple
+            for n in domain
+            for triple in self._triples_at.get(n, ())
+            if sum(m in domain for m in triple) > 1
+        }
+
+        def fits(chosen: Mapping[str, str]) -> bool:
+            for i, c in enumerate(coms):
+                near = self._comparable_to(chosen[c])
+                if any(chosen[d] in near for d in coms[i + 1:]):
+                    return False
+            return all(
+                self._licenses(tuple(chosen[m] if m in chosen else fixed[m] for m in triple))
+                for triple in shared
+            )
+
+        return pools, fits
 
 
 def _minimal_repairs(
@@ -196,10 +309,12 @@ def _minimal_repairs(
 
     Enumerates assignments by increasing domain size, so solutions are found
     smallest-first; an assignment with a known solution strictly inside it
-    cannot be minimal and is skipped without an acceptability check. Raises
+    cannot be minimal and is skipped. Each assignment costs one expansion,
+    charged per domain in one step, whether or not it needs a check. Raises
     NoSolutionError when the search space holds no repair at all.
     """
-    if _acceptable_after(recipe, primary, accepts, hierarchies):
+    checker = _RepairChecker(recipe, primary, accepts, hierarchies)
+    if not checker.conflicts:
         return [{}]
     eligible = sorted(
         n for n in recipe.graph.nodes if n not in primary and candidates.get(n)
@@ -208,16 +323,16 @@ def _minimal_repairs(
     solutions: list[dict[str, str]] = []
     for size in range(1, cap + 1):
         for domain in itertools.combinations(eligible, size):
-            pools = [candidates[n] for n in domain]
+            budget.spend(math.prod(len(candidates[n]) for n in domain))
+            if not checker.can_repair(domain):
+                continue
+            pools, fits = checker.for_domain(domain, candidates)
             for choice in itertools.product(*pools):
-                budget.spend()
-                assignment = dict(zip(domain, choice))
+                assignment = {n: text for n, (text, _) in zip(domain, choice)}
                 items = set(assignment.items())
                 if any(set(s.items()) < items for s in solutions):
                     continue
-                if _acceptable_after(
-                    recipe, dict(primary) | assignment, accepts, hierarchies
-                ):
+                if fits({n: t for n, (_, t) in zip(domain, choice)}):
                     solutions.append(assignment)
     if not solutions:
         raise NoSolutionError("no secondary substitution restores acceptability")

@@ -283,6 +283,29 @@ class TestRewriteCommands:
         assert report["data"]["acceptable"] is True
         assert report["data"]["recipe"]["typing"]["c8"] == "spaghetti bolognese"
 
+    def test_recipe_document_that_is_a_list_is_an_input_error(self, capsys, tmp_path):
+        doc = tmp_path / "list.json"
+        doc.write_text("[1, 2]")
+        code, report = run_json(
+            capsys, "rewrite", "hummus", "--remove", str(doc), "--insert", "hummus"
+        )
+        assert code == 2
+        assert report["diagnostics"] == [f"{doc}: expected a recipe object"]
+
+    def test_plan_step_without_insert_is_an_input_error(self, capsys, tmp_path):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"primary": [{"remove": "hummus"}]}))
+        code, report = run_json(capsys, "rewrite-seq", "hummus", str(plan))
+        assert code == 2
+        assert report["diagnostics"][0].startswith(f"{plan}.primary[0]: ")
+
+    def test_plan_that_is_a_list_is_an_input_error(self, capsys, tmp_path):
+        plan = tmp_path / "plan.json"
+        plan.write_text("[]")
+        code, report = run_json(capsys, "rewrite-seq", "hummus", str(plan))
+        assert code == 2
+        assert report["diagnostics"] == [f"{plan}: expected a plan object"]
+
 
 class TestExportDot:
     def test_stdout_matches_the_library(self, capsys, bundle_path, corpus):

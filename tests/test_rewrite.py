@@ -360,3 +360,33 @@ class TestStructuralCost:
             assert got == pytest.approx(
                 brute_structural_cost(r1, r2, corpus.hierarchies, dist)
             )
+
+
+class TestStructuralCostOracle:
+    def test_random_pairs_match_the_matching_oracle(self):
+        from random import Random
+
+        from recgen import SYNTH, random_recipe
+
+        distances = DistanceModel()
+
+        def dist(kind, t1, t2):
+            return distances.distance(SYNTH.for_kind(kind), t1, t2)
+
+        sizes_seen = set()
+        for seed in range(8):
+            rng = Random(seed)
+            r1 = random_recipe(rng, max_actions=3, max_nodes=9, prefix="g")
+            r2 = random_recipe(rng, max_actions=3, max_nodes=9, prefix="h")
+            for left, right in ((r1, r2), (r2, r1)):
+                for kind, nodes in (("comestible", "comestibles"), ("action", "actions")):
+                    a = len(getattr(left.graph, nodes))
+                    b = len(getattr(right.graph, nodes))
+                    sizes_seen.add((kind, (a > b) - (a < b)))
+                for weight in (0.5, 2.0):
+                    model = StructuralCostModel(distances=distances, edit_weight=weight)
+                    got = structural_cost(left, right, SYNTH, model)
+                    want = brute_structural_cost(left, right, SYNTH, dist, weight)
+                    assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+        # both kinds are seen with the larger side on the left and on the right
+        assert {("comestible", 1), ("comestible", -1), ("action", 1), ("action", -1)} <= sizes_seen

@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import itertools
+from random import Random
+
 import pytest
 
 from oracles import brute_preferred
-from recipegraph.acceptability import accept_set
+from recgen import SYNTH, random_recipe
+from recipegraph import typesubst
+from recipegraph.acceptability import accept_set, arc_triples, check_acceptable
+from recipegraph.core import roles
 from recipegraph.errors import (
     BudgetExceededError,
     InvalidRecipeError,
@@ -307,3 +313,150 @@ class TestDefaultCandidates:
         )
         assert all("soup" not in pool for n, pool in pools.items() if n in recipe.graph.comestibles)
         assert "boil" not in pools["a2"]
+
+
+def _reference_minimal_repairs(
+    recipe, primary, accepts, hierarchies, candidates, budget, max_size=None
+):
+    """The planner's original loop: rebuild and re-check every assignment.
+
+    Each assignment goes through ``apply_substitution`` and
+    ``check_acceptable`` and costs one expansion.
+    """
+
+    def acceptable(bindings):
+        try:
+            candidate = apply_substitution(recipe, bindings, hierarchies)
+        except InvalidRecipeError:
+            return False
+        return not check_acceptable(candidate, accepts, hierarchies)
+
+    if acceptable(primary):
+        return [{}]
+    eligible = sorted(
+        n for n in recipe.graph.nodes if n not in primary and candidates.get(n)
+    )
+    cap = len(eligible) if max_size is None else min(max_size, len(eligible))
+    solutions = []
+    for size in range(1, cap + 1):
+        for domain in itertools.combinations(eligible, size):
+            for choice in itertools.product(*(candidates[n] for n in domain)):
+                budget.spend()
+                assignment = dict(zip(domain, choice))
+                items = set(assignment.items())
+                if any(set(s.items()) < items for s in solutions):
+                    continue
+                if acceptable(dict(primary) | assignment):
+                    solutions.append(assignment)
+    if not solutions:
+        raise NoSolutionError("no secondary substitution restores acceptability")
+    return solutions
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (BudgetExceededError, NoSolutionError) as exc:
+        return type(exc).__name__
+
+
+def assert_same_as_reference(monkeypatch, call):
+    """``call`` answers as it does with the reference repair loop in place."""
+    fast = _outcome(call)
+    with monkeypatch.context() as m:
+        m.setattr(typesubst, "_minimal_repairs", _reference_minimal_repairs)
+        slow = _outcome(call)
+    assert fast == slow
+    return fast
+
+
+class TestPlannerMatchesReference:
+    def test_corpus_sweep_queries(self, monkeypatch, corpus, hierarchies):
+        model = CostModel(distances=corpus.distances)
+        outcomes = []
+        for rid in corpus.recipe_ids():
+            recipe = corpus.recipe(rid)
+            for missing in sorted(roles(recipe).inputs):
+                for budget in (100, 1000):
+                    outcomes.append(
+                        assert_same_as_reference(
+                            monkeypatch,
+                            lambda: preferred_pair(
+                                recipe, [missing], corpus.acceptability, model,
+                                hierarchies, budget=budget,
+                            ),
+                        )
+                    )
+        # the sweep holds pairs as well as budget-outs at these budgets
+        assert any(isinstance(o, SubstitutionPair) for o in outcomes)
+        assert "BudgetExceededError" in outcomes
+
+    def test_random_recipes_with_an_unlicensed_triple(self, monkeypatch):
+        model = CostModel()
+        kinds = set()
+        for seed in range(16):
+            rng = Random(seed)
+            recipe = random_recipe(rng, max_actions=3, max_nodes=5 + seed % 3)
+            typed = {
+                tuple(recipe.type_of(n) for n in triple) for triple in arc_triples(recipe)
+            }
+            broken = rng.choice(sorted(typed))
+            verb = f"verb{rng.randrange(40):02d}"
+            missing = rng.choice(sorted(roles(recipe).inputs))
+            pools = default_candidates(recipe, accept_set(typed), SYNTH)
+            alt = rng.choice(pools[missing])
+
+            def variants(i, a, o):
+                for i2 in {i, alt if i == recipe.type_of(missing) else i}:
+                    for a2 in {a, verb if a == broken[1] else a}:
+                        yield (i2, a2, o)
+
+            # unlicense one triple of the recipe; license the rebound action
+            # that repairs it and the replacement type of the missing input
+            accepts = accept_set({v for t in typed for v in variants(*t)} - {broken})
+            candidates = {n: rng.sample(pool, min(2, len(pool))) for n, pool in pools.items()}
+            candidates[missing].append(alt)
+            for a in recipe.graph.actions:
+                candidates[a].append(verb)
+            for budget in (100, 1000):
+                for call in (
+                    lambda: find_secondary(recipe, {}, accepts, SYNTH, candidates, budget=budget),
+                    lambda: find_secondary(
+                        recipe, {}, accepts, SYNTH, candidates, model, budget, max_size=2
+                    ),
+                    lambda: preferred_pair(
+                        recipe, [missing], accepts, model, SYNTH, candidates, budget=budget
+                    ),
+                ):
+                    found = assert_same_as_reference(monkeypatch, call)
+                    kinds.add(found if isinstance(found, str) else type(found).__name__)
+        assert {"list", "SubstitutionPair", "BudgetExceededError"} <= kinds
+
+    def test_candidate_pool_with_alias_unknown_and_wrong_kind_types(
+        self, monkeypatch, corpus, hierarchies
+    ):
+        soup = corpus.recipe("carrot-soup")
+        accepts = accept_set(
+            [("raw onion", "fry", "fried onion"), ("fried onion", "boil", "soup")]
+        )
+        candidates = {
+            "c2": ["raw onion", "fried onions", "no such type", "boil"],
+            "a1": ["raw carrot", "fry", "chop"],
+            "a2": ["soup", "boil"],
+        }
+        primary = {"c1": "raw onion"}
+        found = assert_same_as_reference(
+            monkeypatch,
+            lambda: find_secondary(soup, primary, accepts, hierarchies, candidates),
+        )
+        assert found == [{"a1": "fry", "c2": "fried onions"}]
+        for bad_primary in ({"c1": "no such type"}, {"a1": "raw onion"}):
+            assert (
+                assert_same_as_reference(
+                    monkeypatch,
+                    lambda: find_secondary(
+                        soup, bad_primary, accepts, hierarchies, candidates
+                    ),
+                )
+                == "NoSolutionError"
+            )
