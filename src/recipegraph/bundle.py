@@ -135,7 +135,7 @@ def _parse_recipe_doc(
     _check(isinstance(coms, list) and all(isinstance(c, str) for c in coms), f"{path}.comestibles", "expected a list of node ids")
     _check(isinstance(acts, list) and all(isinstance(a, str) for a in acts), f"{path}.actions", "expected a list of node ids")
     _check(isinstance(arcs, list), f"{path}.arcs", "expected a list")
-    _check(isinstance(typing, Mapping), f"{path}.typing", "expected an object")
+    _check(isinstance(typing, Mapping) and all(isinstance(t, str) for t in typing.values()), f"{path}.typing", "expected an object mapping node ids to type names")
 
     for kind, ids in (("comestible", coms), ("action", acts)):
         for n in ids:

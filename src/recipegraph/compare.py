@@ -7,14 +7,19 @@
 * finer-grained: in-out aligned with an order-preserving map between them;
 * more specific: isomorphic with labels at or below the other's.
 
-All searches are exhaustive backtracking over small sparse graphs, pruned by
-(kind, in-degree, out-degree) signatures and made total by an expansion
-budget: exceeding it raises BudgetExceededError, which is distinct from a
-definite negative answer.
+The bijection searches (isomorphic, equivalent, more specific) restrict every
+node to its exact upstream and downstream unfolding class and grow the
+mapping along arcs, VF2-style (Cordella et al., TPAMI 2004), backtracking on
+an explicit stack. Finer-grained is closed-form unless the inputs and outputs
+are pinned; then it backtracks in sorted order. Every search is made total by
+an expansion budget: exceeding it raises BudgetExceededError, which is
+distinct from a definite negative answer.
 """
 
 from __future__ import annotations
 
+import heapq
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import Recipe, roles
@@ -66,80 +71,153 @@ class _Budget:
             raise BudgetExceededError(self.limit)
 
 
-def _signature(recipe: Recipe, n: str) -> tuple[str, int, int]:
+def _backtrack(levels: int, candidates, accept, undo, budget: _Budget) -> bool:
+    """Depth-first search over ``levels`` choices, on an explicit stack.
+
+    ``candidates(i)`` lists the options of level ``i`` once the levels before
+    it are chosen, ``accept(i, m)`` records option ``m`` if it fits and says
+    whether it did, and ``undo(i)`` forgets level ``i``'s choice. Options are
+    tried in the order listed; each one tried costs one expansion.
+    """
+    stack = [iter(candidates(0))] if levels else []
+    chosen = 0
+    while chosen < levels:
+        for m in stack[-1]:
+            budget.spend()
+            if accept(chosen, m):
+                chosen += 1
+                if chosen < levels:
+                    stack.append(iter(candidates(chosen)))
+                break
+        else:
+            stack.pop()
+            if not stack:
+                return False
+            chosen -= 1
+            undo(chosen)
+    return True
+
+
+def _classes(recipe: Recipe, typed: bool, intern: dict) -> dict[str, tuple[int, int]]:
+    """Exact upstream and downstream unfolding class of every node.
+
+    A node's upstream class is its seed (its kind, plus its type when
+    ``typed``) and the sorted upstream classes of its predecessors, computed
+    in topological order; its downstream class is the same over successors,
+    in reverse order. Both are interned as ints in ``intern``, shared by the
+    graphs being compared, so equal ints mean equal unfolding trees, with no
+    hashing. Nodes on or behind a cycle, which only graphs that skipped
+    validation have, keep their seed alone.
+    """
     g = recipe.graph
-    return (g.kind_of(n), g.in_degree(n), g.out_degree(n))
+    seed = (lambda n: (g.kind_of(n), recipe.type_of(n))) if typed else g.kind_of
+    succ, pred = g._adjacency
+    nodes = g.nodes
+    waiting = {n: len(pred.get(n, ())) for n in nodes}
+    topo = [n for n, d in waiting.items() if not d]
+    for n in topo:  # grows while it is read
+        for t in succ.get(n, ()):
+            waiting[t] -= 1
+            if not waiting[t]:
+                topo.append(t)
+    up = {n: intern.setdefault((seed(n), None), len(intern)) for n in nodes if waiting[n]}
+    down = dict(up)
+    for n in topo:
+        key = (seed(n), tuple(sorted([up[p] for p in pred.get(n, ())])))
+        up[n] = intern.setdefault(key, len(intern))
+    for n in reversed(topo):
+        key = (seed(n), tuple(sorted([down[t] for t in succ.get(n, ())])))
+        down[n] = intern.setdefault(key, len(intern))
+    return {n: (up[n], down[n]) for n in nodes}
 
 
-def _match_bijection(r1: Recipe, r2: Recipe, budget: _Budget, label_ok) -> dict[str, str] | None:
-    """Backtracking search for an arc- and kind-preserving bijection.
+def _match_bijection(
+    r1: Recipe, r2: Recipe, budget: _Budget, label_ok=None, typed: bool = False
+) -> dict[str, str] | None:
+    """Search for an arc- and kind-preserving bijection.
 
-    ``label_ok(n, m)`` adds the per-relation label constraint. Candidates are
-    tried in sorted order, so the witness is deterministic.
+    A node may only map into its class: its upstream and downstream unfolding
+    classes, seeded by kind (and by type when ``typed``), which every such
+    bijection preserves. ``label_ok(n, m)`` adds the per-relation label
+    constraint. Nodes are placed VF2-style: the most-constrained node first,
+    then the most-constrained node next to those placed, whose candidates are
+    the neighbours of its anchor's image. Candidates are tried in sorted
+    order, so the witness is deterministic.
     """
     g1, g2 = r1.graph, r2.graph
-    if len(g1.comestibles) != len(g2.comestibles):
-        return None
-    if len(g1.actions) != len(g2.actions):
-        return None
-    if len(g1.arcs) != len(g2.arcs):
+    if (len(g1.comestibles), len(g1.actions), len(g1.arcs)) != (
+        len(g2.comestibles), len(g2.actions), len(g2.arcs)
+    ):
         return None
 
-    sig2: dict[tuple[str, int, int], list[str]] = {}
+    intern: dict = {}
+    cls1, cls2 = _classes(r1, typed, intern), _classes(r2, typed, intern)
+    if Counter(cls1.values()) != Counter(cls2.values()):
+        return None
+    pool: dict[tuple[int, int], list[str]] = {}
     for m in sorted(g2.nodes):
-        sig2.setdefault(_signature(r2, m), []).append(m)
-    candidates: dict[str, list[str]] = {}
-    for n in g1.nodes:
-        pool = [m for m in sig2.get(_signature(r1, n), []) if label_ok(n, m)]
-        if not pool:
-            return None
-        candidates[n] = pool
+        pool.setdefault(cls2[m], []).append(m)
+    if label_ok is not None and not all(
+        any(label_ok(n, m) for m in pool[cls1[n]]) for n in g1.nodes
+    ):
+        return None
 
-    # most-constrained-first keeps the tree small on sparse graphs
-    order = sorted(g1.nodes, key=lambda n: (len(candidates[n]), n))
+    succ1, pred1 = g1._adjacency
+    succ2, pred2 = g2._adjacency
+    size = {n: len(pool[cls1[n]]) for n in g1.nodes}
+    # (node, anchor, 0 if the node follows its anchor else 1), in search order
+    order: list[tuple[str, str | None, int]] = []
+    frontier: list[tuple[int, str, str | None, int]] = []
+    placed: set[str] = set()
+    while len(order) < len(size):
+        if not frontier:  # start a component at its most-constrained node
+            frontier.append((*min((size[n], n) for n in size if n not in placed), None, 0))
+        _, n, anchor, side = heapq.heappop(frontier)
+        if n not in placed:
+            placed.add(n)
+            order.append((n, anchor, side))
+            for t in succ1.get(n, ()):
+                heapq.heappush(frontier, (size[t], t, n, 0))
+            for t in pred1.get(n, ()):
+                heapq.heappush(frontier, (size[t], t, n, 1))
+
     mapping: dict[str, str] = {}
     inverse: dict[str, str] = {}
+    arcs1, arcs2 = g1.arcs, g2.arcs
 
-    def consistent(n: str, m: str) -> bool:
-        for p in g1.predecessors(n):
-            if p in mapping and (mapping[p], m) not in g2.arcs:
-                return False
-        for s in g1.successors(n):
-            if s in mapping and (m, mapping[s]) not in g2.arcs:
-                return False
-        # mapped neighbours of m must be neighbours of n in the same direction
-        for p in g2.predecessors(m):
-            if p in inverse and (inverse[p], n) not in g1.arcs:
-                return False
-        for s in g2.successors(m):
-            if s in inverse and (n, inverse[s]) not in g1.arcs:
-                return False
+    def candidates(i: int) -> list[str]:
+        n, anchor, side = order[i]
+        if anchor is None:
+            found = pool[cls1[n]]
+        else:
+            near = (succ2, pred2)[side].get(mapping[anchor], ())
+            found = sorted(m for m in near if cls2[m] == cls1[n])
+        return [m for m in found if m not in inverse and (label_ok is None or label_ok(n, m))]
+
+    def accept(i: int, m: str) -> bool:
+        n = order[i][0]
+        # arcs between n and the mapped nodes must match arcs of m, both ways
+        if any(p in mapping and (mapping[p], m) not in arcs2 for p in pred1.get(n, ())):
+            return False
+        if any(s in mapping and (m, mapping[s]) not in arcs2 for s in succ1.get(n, ())):
+            return False
+        if any(p in inverse and (inverse[p], n) not in arcs1 for p in pred2.get(m, ())):
+            return False
+        if any(s in inverse and (n, inverse[s]) not in arcs1 for s in succ2.get(m, ())):
+            return False
+        mapping[n] = m
+        inverse[m] = n
         return True
 
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
-        n = order[i]
-        for m in candidates[n]:
-            if m in inverse:
-                continue
-            budget.spend()
-            if not consistent(n, m):
-                continue
-            mapping[n] = m
-            inverse[m] = n
-            if extend(i + 1):
-                return True
-            del mapping[n]
-            del inverse[m]
-        return False
+    def undo(i: int):
+        del inverse[mapping.pop(order[i][0])]
 
-    return dict(mapping) if extend(0) else None
+    return mapping if _backtrack(len(order), candidates, accept, undo, budget) else None
 
 
 def isomorphic(r1: Recipe, r2: Recipe, budget: int = DEFAULT_BUDGET) -> NodeBijection | None:
     """Kind- and arc-preserving bijection between the two graphs, or None."""
-    found = _match_bijection(r1, r2, _Budget(budget), lambda n, m: True)
+    found = _match_bijection(r1, r2, _Budget(budget))
     if found is None:
         return None
     return NodeBijection(tuple(sorted(found.items())))
@@ -147,9 +225,7 @@ def isomorphic(r1: Recipe, r2: Recipe, budget: int = DEFAULT_BUDGET) -> NodeBije
 
 def equivalent(r1: Recipe, r2: Recipe, budget: int = DEFAULT_BUDGET) -> NodeBijection | None:
     """Isomorphism whose bijection preserves every node's type, or None."""
-    found = _match_bijection(
-        r1, r2, _Budget(budget), lambda n, m: r1.type_of(n) == r2.type_of(m)
-    )
+    found = _match_bijection(r1, r2, _Budget(budget), typed=True)
     if found is None:
         return None
     return NodeBijection(tuple(sorted(found.items())))
@@ -221,49 +297,43 @@ def finer_grained(
     orders two nodes in ``r1``, their images are ordered in ``r2``. The
     stricter ``fix_io`` variant additionally pins g to the identity on the
     shared input and output nodes.
+
+    Without ``fix_io`` the answer is closed-form. The search would try the
+    nodes of ``r1`` in sorted order, each against the nodes of ``r2`` in
+    sorted order, and the first candidate, the least node of ``r2``, always
+    passes because a path order is reflexive. So the witness is the constant
+    map to that node, reached after exactly one expansion per node of ``r1``,
+    and that is what is returned and charged, without building reach sets.
     """
     if not in_out_aligned(r1, r2):
         return None
     b = _Budget(budget)
     n1 = sorted(r1.graph.nodes)
     n2 = sorted(r2.graph.nodes)
-    fixed: dict[str, str] = {}
-    if fix_io:
-        shared = roles(r1).inputs | roles(r1).outputs
-        fixed = {n: n for n in shared}
-
-    # leq as explicit relations; reachable_from caches per recipe
-    def leq1(a: str, c: str) -> bool:
-        return c in r1.reachable_from(a)
-
-    def leq2(a: str, c: str) -> bool:
-        return c in r2.reachable_from(a)
-
+    if not fix_io:
+        if n1 and not n2:
+            return None
+        b.spend(len(n1))
+        return OrderMap(tuple((n, n2[0]) for n in n1))
+    pinned = roles(r1).inputs | roles(r1).outputs
+    order = sorted(n1, key=lambda n: (n not in pinned, n))
     mapping: dict[str, str] = {}
 
-    def ok(n: str, m: str) -> bool:
+    def accept(i: int, m: str) -> bool:
+        # the path order as reach sets, which each recipe caches
+        n = order[i]
+        after_n, after_m = r1.reachable_from(n), r2.reachable_from(m)
         for n_prev, m_prev in mapping.items():
-            if leq1(n, n_prev) and not leq2(m, m_prev):
+            if n_prev in after_n and m_prev not in after_m:
                 return False
-            if leq1(n_prev, n) and not leq2(m_prev, m):
+            if n in r1.reachable_from(n_prev) and m not in r2.reachable_from(m_prev):
                 return False
+        mapping[n] = m
         return True
 
-    def extend(i: int) -> bool:
-        if i == len(n1):
-            return True
-        n = order[i]
-        pool = [fixed[n]] if n in fixed else n2
-        for m in pool:
-            b.spend()
-            if ok(n, m):
-                mapping[n] = m
-                if extend(i + 1):
-                    return True
-                del mapping[n]
-        return False
+    def candidates(i: int) -> list[str]:
+        return [order[i]] if order[i] in pinned else n2
 
-    order = sorted(n1, key=lambda n: (n not in fixed, n))
-    if extend(0):
-        return OrderMap(tuple(sorted(mapping.items())))
-    return None
+    if not _backtrack(len(order), candidates, accept, lambda i: mapping.pop(order[i]), b):
+        return None
+    return OrderMap(tuple(sorted(mapping.items())))

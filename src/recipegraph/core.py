@@ -18,6 +18,7 @@ node sets, arcs, and typing.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -302,19 +303,26 @@ def typing_violations(
                 Violation("unknown-type", "type not found in any hierarchy", nodes=(n,), types=(text,))
             )
 
-    h_com = hierarchies.comestible
-    typed_coms = sorted(c for c in graph.comestibles if c in resolved)
-    for i, c1 in enumerate(typed_coms):
-        for c2 in typed_coms[i + 1:]:
-            if h_com.comparable(resolved[c1], resolved[c2]):
-                violations.append(
-                    Violation(
-                        "comparable",
-                        "distinct comestibles with comparable types",
-                        nodes=(c1, c2),
-                        types=(resolved[c1], resolved[c2]),
-                    )
-                )
+    # a comparable pair is found once, from the side whose type lies below:
+    # among its type's ancestors, or within the same type
+    by_type: dict[str, list[str]] = {}
+    for c in sorted(graph.comestibles & resolved.keys()):
+        by_type.setdefault(resolved[c], []).append(c)
+    pairs: list[tuple[str, str]] = []
+    for t, below in by_type.items():
+        pairs += itertools.combinations(below, 2)
+        for u in hierarchies.comestible.ancestors(t):
+            if u != t and u in by_type:
+                pairs += [(c1, c2) if c1 < c2 else (c2, c1) for c1 in below for c2 in by_type[u]]
+    for c1, c2 in sorted(pairs):
+        violations.append(
+            Violation(
+                "comparable",
+                "distinct comestibles with comparable types",
+                nodes=(c1, c2),
+                types=(resolved[c1], resolved[c2]),
+            )
+        )
     return violations
 
 

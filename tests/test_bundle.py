@@ -111,6 +111,13 @@ class TestSchemaChecks:
         with pytest.raises(UnknownReferenceError):
             parse_bundle(json.dumps(doc))
 
+    def test_non_string_type_in_typing_is_a_located_schema_error(self):
+        doc = minimal_doc()
+        doc["recipes"][0]["typing"]["n1"] = ["raw onion"]
+        with pytest.raises(SchemaError) as err:
+            parse_bundle(json.dumps(doc))
+        assert err.value.path == "bundle.recipes[0].typing"
+
     def test_arc_endpoint_outside_recipe_is_rejected(self):
         doc = minimal_doc()
         doc["recipes"][0]["arcs"].append(["n1", "ghost"])

@@ -45,6 +45,16 @@ class TestValidate:
         conditions = [v["condition"] for v in report["data"]["invalid"]["broken"]]
         assert "1" in conditions
 
+    def test_non_string_type_in_a_bundle_is_an_input_error(self, capsys, tmp_path):
+        doc = json.loads(serialize_bundle(load_corpus()))
+        doc["recipes"][0]["typing"]["c1"] = ["x"]
+        path = tmp_path / "bad-typing.json"
+        path.write_text(json.dumps(doc))
+        code, report = run_json(capsys, "validate", "-b", str(path))
+        assert code == 2
+        assert report["status"] == "error"
+        assert report["diagnostics"][0].startswith("bundle.recipes[0].typing: ")
+
     def test_missing_bundle_file_is_an_input_error(self, capsys):
         code, report = run_json(capsys, "validate", "-b", "/nonexistent/bundle.json")
         assert code == 2

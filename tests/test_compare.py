@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+from random import Random
+
 import pytest
 
+import recgen
 from oracles import brute_isomorphisms
 from recipegraph.compare import (
+    NodeBijection,
+    OrderMap,
+    _Budget,
     equivalent,
     finer_grained,
     in_out_aligned,
@@ -11,8 +17,9 @@ from recipegraph.compare import (
     isomorphic,
     more_specific,
 )
-from recipegraph.core import build_recipe
+from recipegraph.core import Recipe, build_recipe, recipe_graph, roles
 from recipegraph.errors import BudgetExceededError
+from recipegraph.typekb import Hierarchies, load_hierarchy
 
 
 class TestIsomorphic:
@@ -201,3 +208,278 @@ class TestMoreSpecific:
         top, bottom = corpus.recipe("fry-onion"), corpus.recipe("fry-onion-alt")
         assert more_specific(top, bottom, hierarchies) is not None
         assert more_specific(bottom, top, hierarchies) is not None
+
+
+def _reference_match_bijection(r1, r2, budget, label_ok):
+    """The original bijection search: (kind, in-degree, out-degree) pools,
+    most-constrained-first static order, recursive backtracking."""
+    g1, g2 = r1.graph, r2.graph
+    if len(g1.comestibles) != len(g2.comestibles):
+        return None
+    if len(g1.actions) != len(g2.actions):
+        return None
+    if len(g1.arcs) != len(g2.arcs):
+        return None
+
+    def signature(g, n):
+        return (g.kind_of(n), g.in_degree(n), g.out_degree(n))
+
+    sig2 = {}
+    for m in sorted(g2.nodes):
+        sig2.setdefault(signature(g2, m), []).append(m)
+    candidates = {}
+    for n in g1.nodes:
+        pool = [m for m in sig2.get(signature(g1, n), []) if label_ok(n, m)]
+        if not pool:
+            return None
+        candidates[n] = pool
+    order = sorted(g1.nodes, key=lambda n: (len(candidates[n]), n))
+    mapping, inverse = {}, {}
+
+    def consistent(n, m):
+        for p in g1.predecessors(n):
+            if p in mapping and (mapping[p], m) not in g2.arcs:
+                return False
+        for s in g1.successors(n):
+            if s in mapping and (m, mapping[s]) not in g2.arcs:
+                return False
+        for p in g2.predecessors(m):
+            if p in inverse and (inverse[p], n) not in g1.arcs:
+                return False
+        for s in g2.successors(m):
+            if s in inverse and (n, inverse[s]) not in g1.arcs:
+                return False
+        return True
+
+    def extend(i):
+        if i == len(order):
+            return True
+        n = order[i]
+        for m in candidates[n]:
+            if m in inverse:
+                continue
+            budget.spend()
+            if not consistent(n, m):
+                continue
+            mapping[n] = m
+            inverse[m] = n
+            if extend(i + 1):
+                return True
+            del mapping[n]
+            del inverse[m]
+        return False
+
+    return dict(mapping) if extend(0) else None
+
+
+def _relations(hierarchies):
+    """(name, fast call, label constraint of the reference) per bijection relation."""
+
+    def specific_label(r1, r2):
+        def ok(n, m):
+            h = hierarchies.for_kind(r1.graph.kind_of(n))
+            return h.is_subtype(r1.type_of(n), r2.type_of(m))
+        return ok
+
+    return [
+        ("iso", isomorphic, lambda r1, r2: lambda n, m: True),
+        ("equiv", equivalent, lambda r1, r2: lambda n, m: r1.type_of(n) == r2.type_of(m)),
+        ("specific", lambda r1, r2: more_specific(r1, r2, hierarchies), specific_label),
+    ]
+
+
+def _assert_same_as_reference(r1, r2, hierarchies):
+    for name, fast, label in _relations(hierarchies):
+        found = _reference_match_bijection(r1, r2, _Budget(10**6), label(r1, r2))
+        want = None if found is None else NodeBijection(tuple(sorted(found.items())))
+        assert fast(r1, r2) == want, name
+
+
+class TestBijectionSearchMatchesReference:
+    def test_every_corpus_pair(self, corpus, hierarchies):
+        recipes = [corpus.recipe(rid) for rid in corpus.recipe_ids()]
+        for r1 in recipes:
+            for r2 in recipes:
+                _assert_same_as_reference(r1, r2, hierarchies)
+
+    def test_seeded_generated_pairs(self):
+        decided = 0
+        for seed in range(120):
+            rng = Random(seed)
+            first = recgen.random_recipe(Random(seed), max_actions=rng.choice([1, 2, 4, 6]))
+            # the same seed under other ids: an isomorphic copy when both
+            # draws take the same size bound
+            copy = recgen.random_recipe(
+                Random(seed), max_actions=rng.choice([1, 2, 4, 6]), prefix="h"
+            )
+            other = recgen.random_recipe(Random(seed + 1000), max_actions=2)
+            for r1, r2 in [(first, copy), (first, first), (first, other), (other, first)]:
+                _assert_same_as_reference(r1, r2, recgen.SYNTH)
+                decided += isomorphic(r1, r2) is not None
+        assert decided > 150  # positive answers beyond the 120 self-pairs
+
+    def test_unvalidated_cyclic_graphs_keep_kinds(self):
+        # a four-cycle alternating kinds, rotatable by one step onto itself
+        def loop(c1, c2, a1, a2):
+            arcs = {(c1, a1), (a1, c2), (c2, a2), (a2, c1)}
+            graph = recipe_graph({c1, c2}, {a1, a2}, arcs)
+            return Recipe(graph, {c1: "x", c2: "x", a1: "y", a2: "y"})
+
+        r1, r2 = loop("c1", "c2", "a1", "a2"), loop("x1", "x2", "y1", "y2")
+        witness = isomorphic(r1, r2)
+        assert witness is not None
+        assert {witness[c] for c in r1.graph.comestibles} == r2.graph.comestibles
+        found = _reference_match_bijection(r1, r2, _Budget(100), lambda n, m: True)
+        assert witness.as_dict() == found
+
+
+def _flat_hierarchies(n_comestible_types: int) -> Hierarchies:
+    def flat(kind, root, leaves):
+        types = [{"id": root, "parents": []}] + [{"id": t, "parents": [root]} for t in leaves]
+        return load_hierarchy({"kind": kind, "root": root, "types": types})
+
+    return Hierarchies(
+        action=flat("action", "act", ["verb"]),
+        comestible=flat("comestible", "com", [f"ing{i}" for i in range(n_comestible_types)]),
+    )
+
+
+def _chain(hierarchies, actions: int):
+    coms = [f"c{i:04d}" for i in range(actions + 1)]
+    acts = [f"a{i:04d}" for i in range(actions)]
+    arcs = [*zip(coms, acts), *zip(acts, coms[1:])]
+    typing = {c: f"ing{i}" for i, c in enumerate(coms)} | dict.fromkeys(acts, "verb")
+    return build_recipe(coms, acts, arcs, typing, hierarchies)
+
+
+def _merge_tree(hierarchies, actions: int):
+    """``actions + 1`` inputs merged pairwise, first in first merged."""
+    coms = [f"c{i:04d}" for i in range(2 * actions + 1)]
+    acts = [f"a{i:04d}" for i in range(actions)]
+    queue, fresh, arcs = coms[: actions + 1], iter(coms[actions + 1:]), []
+    for a in acts:
+        first, second, *queue = queue
+        out = next(fresh)
+        arcs += [(first, a), (second, a), (a, out)]
+        queue.append(out)
+    typing = {c: f"ing{i}" for i, c in enumerate(coms)} | dict.fromkeys(acts, "verb")
+    return build_recipe(coms, acts, arcs, typing, hierarchies)
+
+
+def _relabelled(recipe, hierarchies, seed: int):
+    """The same recipe under fresh ids whose sorted order is a seeded shuffle."""
+    g = recipe.graph
+    rename = {}
+    for prefix, group in (("x", sorted(g.comestibles)), ("y", sorted(g.actions))):
+        slots = list(range(len(group)))
+        Random(seed).shuffle(slots)
+        rename.update({n: f"{prefix}{s:04d}" for n, s in zip(group, slots)})
+    return build_recipe(
+        [rename[c] for c in g.comestibles],
+        [rename[a] for a in g.actions],
+        [(rename[s], rename[t]) for s, t in g.arcs],
+        {rename[n]: t for n, t in recipe.typing.items()},
+        hierarchies,
+    )
+
+
+class TestLargeRecipes:
+    H = _flat_hierarchies(1201)
+
+    @pytest.mark.parametrize("shape, actions", [(_chain, 240), (_merge_tree, 160)])
+    def test_relabelled_copies_decide_within_a_small_budget(self, shape, actions):
+        recipe = shape(self.H, actions)
+        copy = _relabelled(recipe, self.H, seed=actions)
+        for search in (isomorphic, equivalent):
+            witness = search(recipe, copy, budget=5000)
+            assert witness is not None
+            forward = witness.as_dict()
+            assert {(forward[s], forward[t]) for s, t in recipe.graph.arcs} == copy.graph.arcs
+            if search is equivalent:
+                assert all(recipe.type_of(n) == copy.type_of(m) for n, m in forward.items())
+
+    @pytest.mark.parametrize("search", [isomorphic, equivalent])
+    def test_a_600_action_chain_matches_its_copy_without_recursing(self, search):
+        chain = _chain(self.H, 600)
+        assert search(chain, _relabelled(chain, self.H, seed=600)) is not None
+
+    def test_a_600_action_chain_refines_itself_with_pinned_ends(self):
+        chain = _chain(self.H, 600)
+        witness = finer_grained(chain, chain, fix_io=True)
+        assert witness is not None
+        assert all(witness.as_dict()[n] == n for n in ("c0000", "c0600"))
+
+
+def _reference_finer_grained(r1, r2, budget, fix_io):
+    """The original finer-grained search, recursive and without a closed form."""
+    if not in_out_aligned(r1, r2):
+        return None
+    b = _Budget(budget)
+    n1, n2 = sorted(r1.graph.nodes), sorted(r2.graph.nodes)
+    fixed = {}
+    if fix_io:
+        fixed = {n: n for n in roles(r1).inputs | roles(r1).outputs}
+    mapping = {}
+
+    def ok(n, m):
+        for n_prev, m_prev in mapping.items():
+            if n_prev in r1.reachable_from(n) and m_prev not in r2.reachable_from(m):
+                return False
+            if n in r1.reachable_from(n_prev) and m not in r2.reachable_from(m_prev):
+                return False
+        return True
+
+    def extend(i):
+        if i == len(n1):
+            return True
+        n = order[i]
+        for m in [fixed[n]] if n in fixed else n2:
+            b.spend()
+            if ok(n, m):
+                mapping[n] = m
+                if extend(i + 1):
+                    return True
+                del mapping[n]
+        return False
+
+    order = sorted(n1, key=lambda n: (n not in fixed, n))
+    return OrderMap(tuple(sorted(mapping.items()))) if extend(0) else None
+
+
+def _outcome(call):
+    try:
+        return call()
+    except BudgetExceededError:
+        return "budget"
+
+
+class TestFinerGrainedMatchesReference:
+    @pytest.mark.parametrize("fix_io", [False, True])
+    def test_every_corpus_pair_at_several_budgets(self, corpus, fix_io):
+        recipes = [corpus.recipe(rid) for rid in corpus.recipe_ids()]
+        outcomes = set()
+        for r1 in recipes:
+            for r2 in recipes:
+                for budget in (5, 12, 40, 10**6):
+                    fast = _outcome(lambda: finer_grained(r1, r2, budget, fix_io))
+                    slow = _outcome(lambda: _reference_finer_grained(r1, r2, budget, fix_io))
+                    assert fast == slow
+                    outcomes.add(fast if fast in (None, "budget") else "witness")
+        assert outcomes == {None, "budget", "witness"}
+
+
+class TestFinerGrainedClosedForm:
+    def test_without_fix_io_the_witness_is_the_constant_map(self, corpus):
+        fine = corpus.recipe("spaghetti-pasata")
+        coarse = corpus.recipe("spaghetti-one-pot")
+        least = min(coarse.graph.nodes)
+        witness = finer_grained(fine, coarse)
+        assert witness.forward == tuple((n, least) for n in sorted(fine.graph.nodes))
+
+    def test_the_budget_is_one_expansion_per_node(self, corpus):
+        fine = corpus.recipe("spaghetti-pasata")
+        coarse = corpus.recipe("spaghetti-one-pot")
+        size = len(fine.graph.nodes)
+        assert finer_grained(fine, coarse, budget=size) is not None
+        with pytest.raises(BudgetExceededError):
+            finer_grained(fine, coarse, budget=size - 1)

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+from random import Random
+
 import pytest
+
+import recgen
 
 from recipegraph.core import (
     build_recipe,
@@ -15,6 +19,7 @@ from recipegraph.core import (
     validate_recipe_graph,
 )
 from recipegraph.errors import InvalidRecipeError, UnknownNodeError
+from recipegraph.typekb import Hierarchies, load_hierarchy
 
 
 def conditions(violations):
@@ -227,3 +232,89 @@ class TestRecipeValue:
         first = corpus.recipe("fry-onion")
         changed = apply_substitution(first, {"c1": "sliced onion"}, hierarchies)
         assert first != changed
+
+
+def _reference_comparable_pairs(graph, typing, hierarchies):
+    """The original all-pairs comparability loop over the resolvable comestibles."""
+    h = hierarchies.comestible
+    resolved = {
+        c: h.resolve(typing[c]) for c in graph.comestibles if c in typing and typing[c] in h
+    }
+    typed = sorted(resolved)
+    return [
+        ((c1, c2), (resolved[c1], resolved[c2]))
+        for i, c1 in enumerate(typed)
+        for c2 in typed[i + 1:]
+        if h.comparable(resolved[c1], resolved[c2])
+    ]
+
+
+# a multi-parent comestible hierarchy with aliases: tomato sits below three
+# parents, cherry tomato below tomato, apple below two of them
+MULTI_PARENT = Hierarchies(
+    action=recgen.SYNTH.action,
+    comestible=load_hierarchy(
+        {
+            "kind": "comestible",
+            "root": "food",
+            "types": [
+                {"id": "food", "parents": []},
+                {"id": "veg", "parents": ["food"]},
+                {"id": "fruit", "parents": ["food"], "aliases": ["fruits"]},
+                {"id": "red", "parents": ["food"]},
+                {"id": "tomato", "parents": ["veg", "fruit", "red"], "aliases": ["love apple", "tom"]},
+                {"id": "cherry tomato", "parents": ["tomato"]},
+                {"id": "apple", "parents": ["fruit", "red"]},
+                {"id": "leek", "parents": ["veg"]},
+                {"id": "salt", "parents": ["food"]},
+            ],
+        }
+    ),
+)
+
+
+class TestComparabilityMatchesAllPairs:
+    @staticmethod
+    def assert_same_as_reference(graph, typing, hierarchies):
+        found = typing_violations(graph, typing, hierarchies)
+        pairs = [(v.nodes, v.types) for v in found if v.condition == "comparable"]
+        assert pairs == _reference_comparable_pairs(graph, typing, hierarchies)
+        assert all(v.condition == "comparable" for v in found[len(found) - len(pairs):])
+        return len(pairs)
+
+    @staticmethod
+    def random_typing(rng, graph, hierarchies, spellings):
+        """Repeated, aliased and a few wrong-kind, unknown or missing types."""
+        actions = sorted(hierarchies.action.types)
+        typing = {a: rng.choice(actions) for a in graph.actions}
+        for c in graph.comestibles:
+            roll = rng.random()
+            if roll < 0.05:
+                continue
+            if roll < 0.1:
+                typing[c] = rng.choice(actions + ["no such type"])
+            else:
+                typing[c] = rng.choice(spellings)
+        return typing
+
+    def test_corpus_hierarchy(self, corpus, hierarchies):
+        h = hierarchies.comestible
+        spellings = sorted(h.types | h.aliases.keys())
+        found = 0
+        for seed in range(60):
+            rng = Random(seed)
+            graph = corpus.raw(rng.choice(corpus.recipe_ids())).graph
+            typing = self.random_typing(rng, graph, hierarchies, spellings)
+            found += self.assert_same_as_reference(graph, typing, hierarchies)
+        assert found > 0
+
+    def test_multi_parent_hierarchy_with_aliases(self):
+        h = MULTI_PARENT.comestible
+        spellings = sorted(h.types | h.aliases.keys())
+        found = 0
+        for seed in range(200):
+            rng = Random(seed)
+            graph = recgen.random_recipe(rng, max_actions=5).graph
+            typing = self.random_typing(rng, graph, MULTI_PARENT, spellings)
+            found += self.assert_same_as_reference(graph, typing, MULTI_PARENT)
+        assert found > 0
