@@ -86,8 +86,8 @@ def load_acceptability(doc, hierarchies: Hierarchies) -> AcceptabilitySet:
     tuples = []
     for i, item in enumerate(raw):
         path = f"acceptability.tuples[{i}]"
-        if not (isinstance(item, list) and len(item) == 3):
-            raise SchemaError(path, "expected an [input, action, output] triple")
+        if not (isinstance(item, list) and len(item) == 3 and all(isinstance(t, str) for t in item)):
+            raise SchemaError(path, "expected an [input, action, output] triple of type names")
         t1, t2, t3 = item
         tuples.append(
             AcceptTuple(

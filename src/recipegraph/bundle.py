@@ -16,7 +16,7 @@ from importlib import resources
 from typing import Mapping
 
 from .acceptability import AcceptabilitySet, load_acceptability
-from .core import Recipe, RecipeGraph, build_recipe, recipe_graph
+from .core import Arc, Recipe, RecipeGraph, build_recipe, recipe_graph
 from .errors import SchemaError, UnknownReferenceError
 from .typekb import (
     DistanceModel,
@@ -85,6 +85,8 @@ def parse_bundle(data: bytes | str) -> WorkspaceBundle:
     hdoc = doc.get("hierarchies")
     _check(isinstance(hdoc, Mapping), "bundle.hierarchies", "expected an object")
     _check("action" in hdoc and "comestible" in hdoc, "bundle.hierarchies", "must hold both kinds")
+    for kind in ("action", "comestible"):
+        _check(isinstance(hdoc[kind], Mapping), f"bundle.hierarchies.{kind}", "expected an object")
     action = load_hierarchy({"kind": "action", **hdoc["action"]})
     _check(action.kind == "action", "bundle.hierarchies.action", "kind mismatch")
     comestible = load_hierarchy({"kind": "comestible", **hdoc["comestible"]})
@@ -124,10 +126,16 @@ def parse_bundle(data: bytes | str) -> WorkspaceBundle:
     )
 
 
-def _parse_recipe_doc(
-    rdoc: Mapping, path: str, registry: Mapping[str, str], hierarchies: Hierarchies
-) -> RawRecipe:
-    rid = rdoc["id"]
+def check_recipe_doc(rdoc, path: str) -> tuple[list[str], list[str], list[Arc], Mapping[str, str]]:
+    """Check the shape of a recipe document and return its parts.
+
+    A recipe document is a bundle recipe entry whose ``id`` is optional:
+    ``{"comestibles": [...], "actions": [...], "arcs": [[from, to], ...],
+    "typing": {node: type}}``. Returns the comestibles, actions, arcs (as
+    pairs) and typing; raises SchemaError located under ``path``. Node ids
+    and type names are not looked up here.
+    """
+    _check(isinstance(rdoc, Mapping), path, "expected a recipe object")
     coms = rdoc.get("comestibles", [])
     acts = rdoc.get("actions", [])
     arcs = rdoc.get("arcs", [])
@@ -136,7 +144,19 @@ def _parse_recipe_doc(
     _check(isinstance(acts, list) and all(isinstance(a, str) for a in acts), f"{path}.actions", "expected a list of node ids")
     _check(isinstance(arcs, list), f"{path}.arcs", "expected a list")
     _check(isinstance(typing, Mapping) and all(isinstance(t, str) for t in typing.values()), f"{path}.typing", "expected an object mapping node ids to type names")
+    for j, arc in enumerate(arcs):
+        _check(
+            isinstance(arc, list) and len(arc) == 2 and all(isinstance(x, str) for x in arc),
+            f"{path}.arcs[{j}]",
+            "expected a [from, to] pair",
+        )
+    return coms, acts, [(s, t) for s, t in arcs], typing
 
+
+def _parse_recipe_doc(
+    rdoc: Mapping, path: str, registry: Mapping[str, str], hierarchies: Hierarchies
+) -> RawRecipe:
+    coms, acts, arcs, typing = check_recipe_doc(rdoc, path)
     for kind, ids in (("comestible", coms), ("action", acts)):
         for n in ids:
             if n not in registry:
@@ -145,17 +165,10 @@ def _parse_recipe_doc(
                 raise UnknownReferenceError(
                     f"{path}: node {n!r} is registered as {registry[n]}, used as {kind}"
                 )
-    parsed_arcs = []
     node_set = set(coms) | set(acts)
-    for j, arc in enumerate(arcs):
-        _check(
-            isinstance(arc, list) and len(arc) == 2 and all(isinstance(x, str) for x in arc),
-            f"{path}.arcs[{j}]",
-            "expected a [from, to] pair",
-        )
-        if arc[0] not in node_set or arc[1] not in node_set:
+    for j, (s, t) in enumerate(arcs):
+        if s not in node_set or t not in node_set:
             raise UnknownReferenceError(f"{path}.arcs[{j}]: endpoint outside the recipe's nodes")
-        parsed_arcs.append((arc[0], arc[1]))
 
     canonical_typing: dict[str, str] = {}
     for n, t in typing.items():
@@ -169,7 +182,7 @@ def _parse_recipe_doc(
             )
         canonical_typing[n] = h.resolve(t)
 
-    return RawRecipe(id=rid, graph=recipe_graph(coms, acts, parsed_arcs), typing=canonical_typing)
+    return RawRecipe(id=rdoc["id"], graph=recipe_graph(coms, acts, arcs), typing=canonical_typing)
 
 
 def hierarchy_doc(h: TypeHierarchy) -> dict:
@@ -192,20 +205,16 @@ def hierarchy_doc(h: TypeHierarchy) -> dict:
 
 def recipe_doc(recipe: Recipe | RawRecipe, recipe_id: str | None = None) -> dict:
     """Canonical document form of a recipe (or raw recipe)."""
-    if isinstance(recipe, RawRecipe):
-        graph, typing = recipe.graph, recipe.typing
-        rid = recipe_id if recipe_id is not None else recipe.id
-    else:
-        graph, typing = recipe.graph, recipe.typing
-        rid = recipe_id
+    if recipe_id is None and isinstance(recipe, RawRecipe):
+        recipe_id = recipe.id
     doc = {
-        "comestibles": sorted(graph.comestibles),
-        "actions": sorted(graph.actions),
-        "arcs": [[s, t] for s, t in sorted(graph.arcs)],
-        "typing": {n: typing[n] for n in sorted(typing)},
+        "comestibles": sorted(recipe.graph.comestibles),
+        "actions": sorted(recipe.graph.actions),
+        "arcs": [[s, t] for s, t in sorted(recipe.graph.arcs)],
+        "typing": {n: recipe.typing[n] for n in sorted(recipe.typing)},
     }
-    if rid is not None:
-        doc = {"id": rid, **doc}
+    if recipe_id is not None:
+        doc = {"id": recipe_id, **doc}
     return doc
 
 

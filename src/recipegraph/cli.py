@@ -15,6 +15,7 @@ Exit codes partition outcomes so shell pipelines can branch on them:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -25,6 +26,7 @@ from .bundle import (
     WorkspaceBundle,
     _check,
     canonical_json,
+    check_recipe_doc,
     export_dot,
     load_corpus,
     parse_bundle,
@@ -115,35 +117,7 @@ def _recipe_ref(ws: WorkspaceBundle, ref: str) -> Recipe:
     path = Path(ref)
     if path.suffix == ".json" and path.exists():
         doc = json.loads(path.read_text(encoding="utf-8"))
-        _check(isinstance(doc, dict), ref, "expected a recipe object")
-        for key in ("comestibles", "actions"):
-            ids = doc.get(key, [])
-            _check(
-                isinstance(ids, list) and all(isinstance(n, str) for n in ids),
-                f"{ref}.{key}",
-                "expected a list of node ids",
-            )
-        arcs = doc.get("arcs", [])
-        _check(isinstance(arcs, list), f"{ref}.arcs", "expected a list")
-        for j, arc in enumerate(arcs):
-            _check(
-                isinstance(arc, list) and len(arc) == 2 and all(isinstance(x, str) for x in arc),
-                f"{ref}.arcs[{j}]",
-                "expected a [from, to] pair",
-            )
-        typing = doc.get("typing", {})
-        _check(
-            isinstance(typing, dict) and all(isinstance(t, str) for t in typing.values()),
-            f"{ref}.typing",
-            "expected an object mapping node ids to type names",
-        )
-        return build_recipe(
-            doc.get("comestibles", []),
-            doc.get("actions", []),
-            [tuple(a) for a in arcs],
-            typing,
-            ws.hierarchies,
-        )
+        return build_recipe(*check_recipe_doc(doc, ref), ws.hierarchies)
     raise RecipeError(f"no recipe named {ref!r} in the bundle and no such file")
 
 
@@ -437,7 +411,9 @@ def cmd_export_dot(args, ws: WorkspaceBundle, report: _Report) -> int:
     return report.emit(OK)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built once per process and reused by every run."""
     parser = argparse.ArgumentParser(
         prog="recipegraph",
         description="Validate, compare, compose, and rewrite recipes stored in a workspace bundle.",

@@ -17,16 +17,16 @@ a well-formed negative answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import (
     Recipe,
     RecipeGraph,
     Violation,
+    build_recipe,
     make_recipe,
     recipe_graph,
     roles,
-    validate_recipe_graph,
 )
 from .errors import ClosureLimitError, InvalidRecipeError, KindConflictError
 from .typekb import Hierarchies
@@ -143,14 +143,7 @@ def compose(
     if violations:
         return CompositionFailure(tuple(violations))
 
-    typing = dict(r1.typing)
-    clash = tuple(
-        sorted(
-            n
-            for n in (coms1 & coms2)
-            if r1.type_of(n) != r2.type_of(n)
-        )
-    )
+    clash = tuple(sorted(n for n in coms1 & coms2 if r1.type_of(n) != r2.type_of(n)))
     if clash:
         return CompositionFailure(
             (
@@ -162,34 +155,23 @@ def compose(
                 ),
             )
         )
-    typing.update(r2.typing)
 
-    graph = recipe_graph(
-        coms1 | coms2,
-        r1.graph.actions | r2.graph.actions,
-        r1.graph.arcs | r2.graph.arcs,
-    )
     # The six conditions do not rule out every degenerate node sharing (e.g. a
     # comestible that is an output of the first recipe and an intermediate of
     # the second ends up with two producers), so the assembly is re-validated;
     # such failures are reported as condition "result" to keep the labels
     # "1".."6" unambiguous.
-    graph_violations = validate_recipe_graph(graph)
-    if graph_violations:
-        return CompositionFailure(
-            tuple(
-                Violation("result", v.message, nodes=v.nodes, arcs=v.arcs)
-                for v in graph_violations
-            )
-        )
     try:
-        return make_recipe(graph, typing, hierarchies)
+        return build_recipe(
+            coms1 | coms2,
+            r1.graph.actions | r2.graph.actions,
+            r1.graph.arcs | r2.graph.arcs,
+            {**r1.typing, **r2.typing},
+            hierarchies,
+        )
     except InvalidRecipeError as exc:
         return CompositionFailure(
-            tuple(
-                Violation("result", v.message, nodes=v.nodes, types=v.types)
-                for v in exc.violations
-            )
+            tuple(replace(v, condition="result") for v in exc.violations)
         )
 
 

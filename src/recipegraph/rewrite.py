@@ -21,14 +21,7 @@ from dataclasses import dataclass, field, replace as _dc_replace
 from typing import Sequence
 
 from .acceptability import AcceptabilitySet, check_acceptable
-from .core import (
-    Recipe,
-    Violation,
-    make_recipe,
-    recipe_graph,
-    roles,
-    validate_recipe_graph,
-)
+from .core import Recipe, Violation, build_recipe, roles
 from .errors import InvalidRecipeError, NotSubrecipeError, RewriteFailureError
 from .compare import _Budget, is_subrecipe
 from .typekb import DistanceModel, Hierarchies
@@ -192,31 +185,15 @@ def structural_substitute(
     comestibles = (host.graph.comestibles - part.graph.comestibles) | replacement.graph.comestibles
     actions = (host.graph.actions - part.graph.actions) | replacement.graph.actions
     arcs = (host.graph.arcs - part.graph.arcs) | replacement.graph.arcs
-    typing = {}
-    for n in comestibles | actions:
-        typing[n] = (
-            replacement.type_of(n) if n in replacement.graph.nodes else host.type_of(n)
-        )
+    typing = {n: host.type_of(n) for n in kept} | replacement.typing
 
-    graph = recipe_graph(comestibles, actions, arcs)
-    graph_violations = validate_recipe_graph(graph)
-    if graph_violations:
-        # conditions i-v can hold while the assembly still breaks a structural
-        # rule, e.g. when the part swallows a comestible the kept actions use
-        return RewriteFailure(
-            tuple(
-                Violation("result", v.message, nodes=v.nodes, arcs=v.arcs)
-                for v in graph_violations
-            )
-        )
+    # conditions i-v can hold while the assembly still breaks a structural
+    # rule, e.g. when the part swallows a comestible the kept actions use
     try:
-        return make_recipe(graph, typing, hierarchies)
+        return build_recipe(comestibles, actions, arcs, typing, hierarchies)
     except InvalidRecipeError as exc:
         return RewriteFailure(
-            tuple(
-                Violation("result", v.message, nodes=v.nodes, types=v.types)
-                for v in exc.violations
-            )
+            tuple(_dc_replace(v, condition="result") for v in exc.violations)
         )
 
 
@@ -380,23 +357,19 @@ def structural_cost(
     skipped = dict.fromkeys(excess, 0)
     best: float | None = None
 
-    def walk(i: int, spent: float, carried: int, open_: int):
-        nonlocal best
-        bound = spent + tail[i] + w * (
-            unmatched + n_arcs - 2 * min(max_carried, carried + open_)
-        )
-        if best is not None and bound >= best:
-            return
-        if i == len(order):
-            best = bound  # every arc is decided: the bound is the total
-            return
+    def choices(i: int, spent: float, carried: int, open_: int):
+        """Decide node ``i`` each possible way, yielding the state after each.
+
+        A choice stays applied while the search below it runs and is undone
+        when the next one is asked for.
+        """
         n, kind, partners, _ = order[i]
         arcs_here = closing[i]
         open_ -= len(arcs_here)
         if skipped[kind] < excess[kind]:
             # n may stay unmatched while r1 has spare nodes of its kind
             skipped[kind] += 1
-            walk(i + 1, spent, carried, open_)
+            yield spent, carried, open_
             skipped[kind] -= 1
         for d, m in partners:
             if m in used:
@@ -408,10 +381,27 @@ def structural_cost(
                 for s, t in arcs_here
                 if s in mapping and t in mapping and (mapping[s], mapping[t]) in arcs2
             )
-            walk(i + 1, spent + d, carried + kept, open_)
+            yield spent + d, carried + kept, open_
             used.discard(m)
             del mapping[n]
 
-    walk(0, 0.0, 0, len(arcs1))
+    # depth-first on an explicit stack; a state taken from stack[i] is the
+    # one before node i is decided
+    stack = [iter([(0.0, 0, len(arcs1))])]
+    while stack:
+        i = len(stack) - 1
+        for spent, carried, open_ in stack[-1]:
+            bound = spent + tail[i] + w * (
+                unmatched + n_arcs - 2 * min(max_carried, carried + open_)
+            )
+            if best is not None and bound >= best:
+                continue
+            if i == len(order):
+                best = bound  # every arc is decided: the bound is the total
+                continue
+            stack.append(choices(i, spent, carried, open_))
+            break
+        else:
+            stack.pop()
     assert best is not None
     return best

@@ -202,9 +202,10 @@ def load_hierarchy(doc: Mapping) -> TypeHierarchy:
         if not isinstance(ps, list) or not all(isinstance(p, str) for p in ps):
             raise SchemaError(f"{path}.parents", "expected a list of strings")
         parents[tid] = frozenset(ps)
-        for alias in entry.get("aliases", []):
-            if not isinstance(alias, str):
-                raise SchemaError(f"{path}.aliases", "expected a list of strings")
+        names = entry.get("aliases", [])
+        if not isinstance(names, list) or not all(isinstance(a, str) for a in names):
+            raise SchemaError(f"{path}.aliases", "expected a list of strings")
+        for alias in names:
             if alias in aliases and aliases[alias] != tid:
                 raise DuplicateAliasError(alias, (aliases[alias], tid))
             aliases[alias] = tid

@@ -1,0 +1,133 @@
+"""The input boundary: a malformed document fails only with a RecipeError.
+
+Each property replaces one field of a well-formed document by a value of
+another JSON type and loads the result. The loader may accept it or raise a
+RecipeError (the CLI turns those into exit 2); any other exception would
+leave the CLI as a traceback with exit 1, the code for a negative answer.
+Fields are drawn per field shape (list positions folded into ``[*]``), so
+rare shapes such as type aliases are tried as often as recipe arcs.
+"""
+
+from __future__ import annotations
+
+import copy
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from recipegraph.acceptability import load_acceptability
+from recipegraph.bundle import (
+    acceptability_doc,
+    check_recipe_doc,
+    distances_doc,
+    load_corpus,
+    parse_bundle,
+    recipe_doc,
+    serialize_bundle,
+)
+from recipegraph.core import build_recipe
+from recipegraph.errors import RecipeError
+from recipegraph.typekb import load_distances
+
+BOUNDARY_SETTINGS = settings(
+    max_examples=150,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+WS = load_corpus()
+
+
+def _kind(value) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    if isinstance(value, str):
+        return "string"
+    return "array" if isinstance(value, list) else "object"
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-2, 2) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+def _fields(doc, path=()):
+    """Every (path, value) below the document root."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,), value
+        yield from _fields(value, path + (key,))
+
+
+ID_MAPS = ("nodes", "typing")  # objects keyed by node ids
+
+
+def _shape(path) -> str:
+    """The path with list positions and node-id keys folded into ``*``."""
+    return "".join(
+        "[*]" if isinstance(k, int) else ".*" if parent in ID_MAPS else f".{k}"
+        for parent, k in zip((None, *path), path)
+    )
+
+
+def mutations(doc):
+    """A copy of ``doc`` with one field replaced by a value of another JSON type."""
+    by_shape: dict[str, list] = {}
+    for path, value in _fields(doc):
+        by_shape.setdefault(_shape(path), []).append((path, value))
+    shapes = sorted(by_shape)
+
+    @st.composite
+    def mutated(draw):
+        path, old = draw(st.sampled_from(by_shape[draw(st.sampled_from(shapes))]))
+        new = draw(json_values.filter(lambda v: _kind(v) != _kind(old)))
+        out = copy.deepcopy(doc)
+        target = out
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = new
+        return out
+
+    return mutated()
+
+
+def _load_recipe_doc(doc):
+    build_recipe(*check_recipe_doc(doc, "recipe"), WS.hierarchies)
+
+
+BUNDLE = json.loads(serialize_bundle(WS))
+
+DOCUMENTS = {
+    "bundle": (BUNDLE, lambda doc: parse_bundle(json.dumps(doc))),
+    "acceptability": (
+        acceptability_doc(WS.acceptability),
+        lambda doc: load_acceptability(doc, WS.hierarchies),
+    ),
+    "distances": (distances_doc(WS.distances), lambda doc: load_distances(doc, WS.hierarchies)),
+    "recipe": (recipe_doc(WS.recipe("hummus")), _load_recipe_doc),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
+def test_one_wrong_field_type_raises_only_recipe_errors(name):
+    doc, load = DOCUMENTS[name]
+
+    @BOUNDARY_SETTINGS
+    @given(mutations(doc))
+    def check(mutated):
+        try:
+            load(mutated)
+        except RecipeError:
+            pass
+
+    check()

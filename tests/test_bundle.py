@@ -118,6 +118,29 @@ class TestSchemaChecks:
             parse_bundle(json.dumps(doc))
         assert err.value.path == "bundle.recipes[0].typing"
 
+    @pytest.mark.parametrize("element", [["raw onion"], {"raw": "onion"}])
+    def test_acceptability_type_that_is_not_a_string_is_a_located_schema_error(self, element):
+        doc = minimal_doc(acceptability={"tuples": [[element, "fry", "fried onion"]]})
+        with pytest.raises(SchemaError) as err:
+            parse_bundle(json.dumps(doc))
+        assert err.value.path == "acceptability.tuples[0]"
+
+    @pytest.mark.parametrize("kind", ["action", "comestible"])
+    def test_hierarchy_that_is_not_an_object_is_a_located_schema_error(self, kind):
+        doc = minimal_doc()
+        doc["hierarchies"][kind] = [{"id": kind, "parents": []}]
+        with pytest.raises(SchemaError) as err:
+            parse_bundle(json.dumps(doc))
+        assert err.value.path == f"bundle.hierarchies.{kind}"
+
+    @pytest.mark.parametrize("aliases", [{"onion": "raw onion"}, "onion", 3])
+    def test_aliases_that_are_not_a_list_are_a_located_schema_error(self, aliases):
+        doc = minimal_doc()
+        doc["hierarchies"]["comestible"]["types"][1]["aliases"] = aliases
+        with pytest.raises(SchemaError) as err:
+            parse_bundle(json.dumps(doc))
+        assert err.value.path == "hierarchy.types[1].aliases"
+
     def test_arc_endpoint_outside_recipe_is_rejected(self):
         doc = minimal_doc()
         doc["recipes"][0]["arcs"].append(["n1", "ghost"])

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from recipegraph.bundle import load_corpus, serialize_bundle
-from recipegraph.cli import run
+from recipegraph.cli import build_parser, run
 
 REPORT_KEYS = {"command", "status", "data", "diagnostics"}
 
@@ -151,6 +151,13 @@ class TestAcceptAndPlan:
         assert code == 1
         assert report["data"]["violations"]
 
+    def test_accept_file_with_a_non_string_type_is_an_input_error(self, capsys, tmp_path):
+        accept = tmp_path / "accept.json"
+        accept.write_text(json.dumps([[["x"], "fry", "fried onion"]]))
+        code, report = run_json(capsys, "accept", "fry-onion", "--accept-file", str(accept))
+        assert code == 2
+        assert report["diagnostics"][0].startswith("acceptability.tuples[0]: ")
+
     def test_substitute_rewrites_typing(self, capsys, bundle_path):
         code, report = run_json(
             capsys, "substitute", "-b", bundle_path, "carrot-soup", "--bind", "c1=raw onion"
@@ -171,6 +178,22 @@ class TestAcceptAndPlan:
         assert report["data"]["primary"] == {"c1": "tagliatelle"}
         assert report["data"]["secondary"] == {}
         assert report["data"]["cost"] == pytest.approx(0.1)
+
+    def test_plans_in_one_process_do_not_share_missing_values(self, capsys, bundle_path):
+        # the parser is built once per process; a repeatable option's list
+        # must start empty on every run
+        assert build_parser() is build_parser()
+        code, report = run_json(
+            capsys, "plan", "-b", bundle_path, "spaghetti-pasata", "--missing", "tagliatelle"
+        )
+        assert code == 0
+        assert report["data"]["primary"] == {}
+        code, report = run_json(
+            capsys, "plan", "-b", bundle_path, "spaghetti-pasata", "--missing", "spaghetti",
+            "--budget", "1000",
+        )
+        assert code == 0
+        assert report["data"]["primary"] == {"c1": "tagliatelle"}
 
     def test_plan_without_candidates_is_negative(self, capsys, bundle_path, tmp_path):
         accept = tmp_path / "accept.json"

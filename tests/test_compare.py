@@ -19,6 +19,7 @@ from recipegraph.compare import (
 )
 from recipegraph.core import Recipe, build_recipe, recipe_graph, roles
 from recipegraph.errors import BudgetExceededError
+from recipegraph.rewrite import structural_cost
 from recipegraph.typekb import Hierarchies, load_hierarchy
 
 
@@ -408,6 +409,10 @@ class TestLargeRecipes:
         witness = finer_grained(chain, chain, fix_io=True)
         assert witness is not None
         assert all(witness.as_dict()[n] == n for n in ("c0000", "c0600"))
+
+    def test_a_500_action_chain_costs_nothing_against_itself(self):
+        chain = _chain(self.H, 500)
+        assert structural_cost(chain, chain, self.H) == 0.0
 
 
 def _reference_finer_grained(r1, r2, budget, fix_io):
