@@ -87,11 +87,16 @@ def parse_bundle(data: bytes | str) -> WorkspaceBundle:
     _check("action" in hdoc and "comestible" in hdoc, "bundle.hierarchies", "must hold both kinds")
     for kind in ("action", "comestible"):
         _check(isinstance(hdoc[kind], Mapping), f"bundle.hierarchies.{kind}", "expected an object")
-    action = load_hierarchy({"kind": "action", **hdoc["action"]})
-    _check(action.kind == "action", "bundle.hierarchies.action", "kind mismatch")
-    comestible = load_hierarchy({"kind": "comestible", **hdoc["comestible"]})
-    _check(comestible.kind == "comestible", "bundle.hierarchies.comestible", "kind mismatch")
-    hierarchies = Hierarchies(action=action, comestible=comestible)
+    loaded = {}
+    for kind in ("action", "comestible"):
+        path = f"bundle.hierarchies.{kind}"
+        try:
+            loaded[kind] = load_hierarchy({"kind": kind, **hdoc[kind]})
+        except SchemaError as exc:
+            # load_hierarchy locates faults from "hierarchy"; say which one
+            raise SchemaError(path + exc.path.removeprefix("hierarchy"), exc.reason) from None
+        _check(loaded[kind].kind == kind, path, "kind mismatch")
+    hierarchies = Hierarchies(**loaded)
 
     registry_doc = doc.get("nodes", {})
     _check(isinstance(registry_doc, Mapping), "bundle.nodes", "expected an object")

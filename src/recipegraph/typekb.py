@@ -9,6 +9,7 @@ load and all queries are pure.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -325,8 +326,9 @@ def load_distances(doc, hierarchies: Hierarchies) -> DistanceModel:
     """Parse a distance document ``{"pairs": [[t1, t2, d], ...], "generalization_penalty": x}``.
 
     A bare JSON array is accepted as shorthand for the ``pairs`` field. Both
-    types of a pair must live in the same hierarchy and distances must be
-    non-negative.
+    types of a pair must live in the same hierarchy, and distances,
+    ``step_cost`` and ``generalization_penalty`` must be finite non-negative
+    numbers.
     """
     if isinstance(doc, list):
         doc = {"pairs": doc}
@@ -343,19 +345,33 @@ def load_distances(doc, hierarchies: Hierarchies) -> DistanceModel:
         t1, t2, d = item
         if not isinstance(t1, str) or not isinstance(t2, str):
             raise SchemaError(path, "types must be strings")
-        if not isinstance(d, (int, float)) or d < 0:
-            raise SchemaError(path, "distance must be a non-negative number")
+        d = _non_negative(d, path)
         kind = hierarchies.kind_of_type(t1)
         if kind is None:
             raise UnknownReferenceError(f"{path}: type {t1!r} is not declared in any hierarchy")
         h = hierarchies.for_kind(kind)
         if t2 not in h:
             raise UnknownReferenceError(f"{path}: type {t2!r} is not in the {kind} hierarchy")
-        table[DistanceModel.key(h.resolve(t1), h.resolve(t2))] = float(d)
-    penalty = doc.get("generalization_penalty", 2.0)
-    if not isinstance(penalty, (int, float)) or penalty < 0:
-        raise SchemaError("distances.generalization_penalty", "expected a non-negative number")
-    step = doc.get("step_cost", 1.0)
-    if not isinstance(step, (int, float)) or step < 0:
-        raise SchemaError("distances.step_cost", "expected a non-negative number")
-    return DistanceModel(table=table, generalization_penalty=float(penalty), step_cost=float(step))
+        table[DistanceModel.key(h.resolve(t1), h.resolve(t2))] = d
+    penalty = _non_negative(
+        doc.get("generalization_penalty", 2.0), "distances.generalization_penalty"
+    )
+    step = _non_negative(doc.get("step_cost", 1.0), "distances.step_cost")
+    return DistanceModel(table=table, generalization_penalty=penalty, step_cost=step)
+
+
+def _non_negative(value, path: str) -> float:
+    """``value`` as a finite non-negative float, else a SchemaError at ``path``.
+
+    Booleans are refused although Python counts them as ints, and so are NaN
+    and the infinities, which Python's ``json`` reads from ``NaN`` and
+    ``Infinity`` and which no cost comparison can order.
+    """
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number) and number >= 0:
+            return number
+    raise SchemaError(path, "expected a finite non-negative number")

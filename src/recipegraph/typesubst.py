@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .acceptability import AcceptabilitySet, AcceptTuple, _licensed, arc_triples
 from .compare import DEFAULT_BUDGET, NodeBijection, _Budget, isomorphic
@@ -22,7 +22,7 @@ from .errors import (
     NotIsomorphicError,
     UnknownTypeError,
 )
-from .typekb import DistanceModel, Hierarchies
+from .typekb import DistanceModel, Hierarchies, TypeHierarchy
 
 SubstitutionSet = Mapping[str, str]
 
@@ -181,6 +181,10 @@ class _RepairChecker:
     all, only the comestible pairs and arc triples touching a rebound node
     can change, and ``for_domain`` checks just those. On such a domain it
     agrees with ``apply_substitution`` followed by ``check_acceptable``.
+
+    Under the exact policy a triple is licensed when it is one of the plain
+    ``(input, action, output)`` tuples of the set; under a non-exact policy
+    ``_licensed`` decides, cached per triple of canonical types.
     """
 
     def __init__(
@@ -198,7 +202,14 @@ class _RepairChecker:
         self._graph = graph
         self._hierarchies = hierarchies
         self._accepts = accepts
+        self._exact = accepts.policy == "exact"
+        plain = {(t.input, t.action, t.output) for t in accepts.tuples}
         self._licensed: dict[tuple[str, str, str], bool] = {}
+        self._licenses = plain.__contains__ if self._exact else self._licensed_within
+        self._by_action: dict[str, list[tuple[str, str, str]]] = {}
+        for triple in plain:
+            self._by_action.setdefault(triple[1], []).append(triple)
+        self._matching: dict[tuple[str, str], frozenset[str]] = {}
         self._near: dict[str, frozenset[str]] = {}
         self.conflicts = [
             frozenset(v.nodes) for v in typing_violations(graph, typing, hierarchies)
@@ -217,13 +228,24 @@ class _RepairChecker:
             ):
                 self.conflicts.append(frozenset(triple))
 
-    def _licenses(self, types: tuple[str, str, str]) -> bool:
+    def _licensed_within(self, types: tuple[str, str, str]) -> bool:
         ok = self._licensed.get(types)
         if ok is None:
             ok = self._licensed[types] = _licensed(
                 AcceptTuple(*types), self._accepts, self._hierarchies
             )
         return ok
+
+    def _matches(self, h: TypeHierarchy, t: str) -> frozenset[str]:
+        """The types that a tuple slot holding ``t`` licenses under the policy."""
+        key = (h.kind, t)
+        found = self._matching.get(key)
+        if found is None:
+            found = frozenset((t,)) if self._exact else h.comparable_within(
+                t, self._accepts.depth_limit
+            )
+            self._matching[key] = found
+        return found
 
     def _comparable_to(self, t: str) -> frozenset[str]:
         near = self._near.get(t)
@@ -236,28 +258,66 @@ class _RepairChecker:
         """False when rebinding ``domain`` leaves some violation untouched."""
         return all(not c.isdisjoint(domain) for c in self.conflicts)
 
+    def _supports(self, slots, sets: list[set[str]]) -> dict[int, set[str]]:
+        """Per domain position of one triple, its types that some tuple licenses.
+
+        ``slots`` gives, for input, action and output, a domain position or
+        None with the fixed type. A tuple licenses a triple when each slot
+        matches on its own, so a type at one position is supported when some
+        tuple matches it there, matches the fixed types, and matches at least
+        one remaining type at every other position. Under the exact policy
+        only the index entries of the possible action types are read.
+        """
+        com, act = self._hierarchies.comestible, self._hierarchies.action
+        ins, acts, outs = (sets[j] if j is not None else {t} for j, t in slots)
+        found: dict[int, set[str]] = {j: set() for j, _ in slots if j is not None}
+        groups = (
+            ((a, self._by_action.get(a, ())) for a in acts)
+            if self._exact
+            else self._by_action.items()
+        )
+        for action, triples in groups:
+            act_hit = acts & self._matches(act, action)
+            if not act_hit:
+                continue
+            for t_in, _, t_out in triples:
+                in_hit = ins & self._matches(com, t_in)
+                out_hit = outs & self._matches(com, t_out) if in_hit else None
+                if out_hit:
+                    for (j, _), hit in zip(slots, (in_hit, act_hit, out_hit)):
+                        if j is not None:
+                            found[j] |= hit
+        return found
+
     def for_domain(
         self, domain: Sequence[str], candidates: Mapping[str, Sequence[str]]
-    ) -> tuple[list[list[tuple[str, str]]], Callable[[Mapping[str, str]], bool]]:
-        """The admitted candidates per node of ``domain``, and the check of a choice.
+    ) -> Iterator[dict[str, str]]:
+        """Every acceptable choice of one candidate per node of ``domain``, in order.
 
-        A candidate comes paired with its canonical type. It is dropped when
-        it names no type of the node's kind, makes the node comparable to a
-        comestible outside the domain, or completes an unlicensed triple whose
-        other nodes lie outside the domain: no assignment that contains it
-        can be acceptable. The returned check takes one admitted canonical
-        type per domain node and tests the comestible pairs and arc triples
-        with two or more rebound nodes.
+        A candidate is dropped when it names no type of the node's kind, makes
+        the node comparable to a comestible outside the domain, or completes
+        an unlicensed triple whose other nodes lie outside the domain. The
+        pools are then pruned to arc consistency (Mackworth 1977) over the
+        triples shared by two or more domain nodes: a candidate goes when
+        no tuple licenses it together with the fixed types and the remaining
+        candidates of that triple's other domain nodes. No assignment that
+        contains a dropped candidate can be acceptable.
+
+        The choices come in the order of ``itertools.product`` over the
+        candidate lists. A depth-first walk over ``domain`` checks each
+        comestible pair and shared triple at the position of its last domain
+        node and skips the whole subtree below a choice that fails.
         """
         graph, fixed = self._graph, self._types
         outside = [c for c in graph.comestibles if c not in domain]
+        at = {n: i for i, n in enumerate(domain)}
         pools = []
         for n in domain:
             h = self._hierarchies.for_kind(graph.kind_of(n))
             lone = [
                 triple
                 for triple in self._triples_at.get(n, ())
-                if all(m == n or m not in domain for m in triple)
+                if all(m == n or m not in at for m in triple)
             ]
             pool = []
             for text in candidates[n]:
@@ -273,27 +333,82 @@ class _RepairChecker:
                     for triple in lone
                 ):
                     pool.append((text, t))
+            if not pool:
+                return
             pools.append(pool)
 
-        coms = [n for n in domain if n in graph.comestibles]
-        shared = {
-            triple
-            for n in domain
-            for triple in self._triples_at.get(n, ())
-            if sum(m in domain for m in triple) > 1
-        }
-
-        def fits(chosen: Mapping[str, str]) -> bool:
-            for i, c in enumerate(coms):
-                near = self._comparable_to(chosen[c])
-                if any(chosen[d] in near for d in coms[i + 1:]):
-                    return False
-            return all(
-                self._licenses(tuple(chosen[m] if m in chosen else fixed[m] for m in triple))
-                for triple in shared
+        shared = list(
+            dict.fromkeys(
+                tuple((at[m], None) if m in at else (None, fixed[m]) for m in triple)
+                for n in domain
+                for triple in self._triples_at.get(n, ())
+                if sum(m in at for m in triple) > 1
             )
+        )
+        if self._prune(pools, shared):
+            yield from self._walk(domain, pools, shared)
 
-        return pools, fits
+    def _prune(self, pools: list[list[tuple[str, str]]], shared: list) -> bool:
+        """Cut ``pools`` in place to arc consistency; False when one runs empty.
+
+        Each triple in ``shared`` gives, for input, action and output, a
+        domain position or None with the fixed type. Every triple is revised
+        until a full round removes nothing, so every type left has support in
+        every triple.
+        """
+        sets = [{t for _, t in pool} for pool in pools]
+        changed = True
+        while changed:
+            changed = False
+            for slots in shared:
+                for j, keep in self._supports(slots, sets).items():
+                    if len(keep) < len(sets[j]):
+                        if not keep:
+                            return False
+                        sets[j] = keep
+                        changed = True
+        for pool, keep in zip(pools, sets):
+            pool[:] = [(text, t) for text, t in pool if t in keep]
+        return True
+
+    def _walk(
+        self, domain: Sequence[str], pools: list[list[tuple[str, str]]], shared: list
+    ) -> Iterator[dict[str, str]]:
+        """Depth-first over one pool per position, in ``itertools.product`` order."""
+        size = len(domain)
+        completed: list[list] = [[] for _ in domain]
+        for slots in shared:
+            completed[max(j for j, _ in slots if j is not None)].append(slots)
+        coms = [i for i, n in enumerate(domain) if n in self._graph.comestibles]
+        earlier = [[j for j in coms if j < i] if i in coms else [] for i in range(size)]
+        licenses = self._licenses
+        chosen = [""] * size
+        picks = [0] * size
+        i = 0
+        while i >= 0:
+            pool = pools[i]
+            if picks[i] == len(pool):
+                picks[i] = 0
+                i -= 1
+                if i >= 0:
+                    picks[i] += 1
+                continue
+            t = chosen[i] = pool[picks[i]][1]
+            fit = True
+            if earlier[i]:
+                near = self._comparable_to(t)
+                fit = not any(chosen[j] in near for j in earlier[i])
+            if fit:
+                fit = all(
+                    licenses(tuple(chosen[j] if j is not None else f for j, f in slots))
+                    for slots in completed[i]
+                )
+            if fit and i + 1 < size:
+                i += 1
+                continue
+            if fit:
+                yield {n: pools[k][picks[k]][0] for k, n in enumerate(domain)}
+            picks[i] += 1
 
 
 def _minimal_repairs(
@@ -309,9 +424,13 @@ def _minimal_repairs(
 
     Enumerates assignments by increasing domain size, so solutions are found
     smallest-first; an assignment with a known solution strictly inside it
-    cannot be minimal and is skipped. Each assignment costs one expansion,
-    charged per domain in one step, whether or not it needs a check. Raises
-    NoSolutionError when the search space holds no repair at all.
+    cannot be minimal and is skipped. Each assignment costs one expansion:
+    a domain is charged the product of its candidate list lengths in one
+    step, before any candidate is dropped or pruned and whether or not the
+    domain can repair, so budget-outs do not depend on the pruning. Within a
+    domain, ``_RepairChecker.for_domain`` yields the acceptable assignments
+    in ``itertools.product`` order. Raises NoSolutionError when the search
+    space holds no repair at all.
     """
     checker = _RepairChecker(recipe, primary, accepts, hierarchies)
     if not checker.conflicts:
@@ -321,19 +440,17 @@ def _minimal_repairs(
     )
     cap = len(eligible) if max_size is None else min(max_size, len(eligible))
     solutions: list[dict[str, str]] = []
+    found: list[set[tuple[str, str]]] = []
     for size in range(1, cap + 1):
         for domain in itertools.combinations(eligible, size):
             budget.spend(math.prod(len(candidates[n]) for n in domain))
             if not checker.can_repair(domain):
                 continue
-            pools, fits = checker.for_domain(domain, candidates)
-            for choice in itertools.product(*pools):
-                assignment = {n: text for n, (text, _) in zip(domain, choice)}
+            for assignment in checker.for_domain(domain, candidates):
                 items = set(assignment.items())
-                if any(set(s.items()) < items for s in solutions):
-                    continue
-                if fits({n: t for n, (_, t) in zip(domain, choice)}):
+                if not any(s < items for s in found):
                     solutions.append(assignment)
+                    found.append(items)
     if not solutions:
         raise NoSolutionError("no secondary substitution restores acceptability")
     return solutions

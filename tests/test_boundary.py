@@ -4,14 +4,20 @@ Each property replaces one field of a well-formed document by a value of
 another JSON type and loads the result. The loader may accept it or raise a
 RecipeError (the CLI turns those into exit 2); any other exception would
 leave the CLI as a traceback with exit 1, the code for a negative answer.
+A ``rewrite-seq`` plan is run through ``cli.run`` from a file, which must
+exit 0, 1 or 2.
 Fields are drawn per field shape (list positions folded into ``[*]``), so
 rare shapes such as type aliases are tried as often as recipe arcs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -27,6 +33,7 @@ from recipegraph.bundle import (
     recipe_doc,
     serialize_bundle,
 )
+from recipegraph.cli import run
 from recipegraph.core import build_recipe
 from recipegraph.errors import RecipeError
 from recipegraph.typekb import load_distances
@@ -105,6 +112,24 @@ def _load_recipe_doc(doc):
     build_recipe(*check_recipe_doc(doc, "recipe"), WS.hierarchies)
 
 
+# applies cleanly to boil-atomic: exit 0 before any mutation
+REWRITE_PLAN = {
+    "primary": [{"remove": "boil-atomic", "insert": "boil-chain"}],
+    "secondary": [{"remove": "boil-chain", "insert": "boil-atomic"}],
+    "check_acceptability": True,
+}
+
+
+def _run_rewrite_plan(doc):
+    """``recipegraph rewrite-seq`` on the plan: an answer or an input error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        plan = Path(tmp, "plan.json")
+        plan.write_text(json.dumps(doc), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = run(["rewrite-seq", "boil-atomic", str(plan), "--format", "json"])
+    assert code in (0, 1, 2)
+
+
 BUNDLE = json.loads(serialize_bundle(WS))
 
 DOCUMENTS = {
@@ -115,6 +140,7 @@ DOCUMENTS = {
     ),
     "distances": (distances_doc(WS.distances), lambda doc: load_distances(doc, WS.hierarchies)),
     "recipe": (recipe_doc(WS.recipe("hummus")), _load_recipe_doc),
+    "rewrite-plan": (REWRITE_PLAN, _run_rewrite_plan),
 }
 
 

@@ -139,7 +139,7 @@ class TestSchemaChecks:
         doc["hierarchies"]["comestible"]["types"][1]["aliases"] = aliases
         with pytest.raises(SchemaError) as err:
             parse_bundle(json.dumps(doc))
-        assert err.value.path == "hierarchy.types[1].aliases"
+        assert err.value.path == "bundle.hierarchies.comestible.types[1].aliases"
 
     def test_arc_endpoint_outside_recipe_is_rejected(self):
         doc = minimal_doc()

@@ -216,6 +216,19 @@ class TestAcceptAndPlan:
         assert code == 1
         assert report["data"] == {"found": False}
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "true"])
+    def test_plan_with_a_non_finite_distance_is_an_input_error(
+        self, capsys, bundle_path, tmp_path, value
+    ):
+        distances = tmp_path / "distances.json"
+        distances.write_text(f'[["spaghetti", "tagliatelle", {value}]]')
+        code, report = run_json(
+            capsys, "plan", "-b", bundle_path, "spaghetti-pasata", "--missing", "spaghetti",
+            "--distances-file", str(distances),
+        )
+        assert code == 2
+        assert report["diagnostics"][0].startswith("distances.pairs[0]: ")
+
     def test_budget_exhaustion_exits_three(self, capsys, bundle_path):
         code, report = run_json(
             capsys,

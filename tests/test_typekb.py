@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -211,6 +212,30 @@ class TestDistance:
 
         with pytest.raises(SchemaError):
             load_distances({"pairs": [["onion", "carrot", -1.0]]}, hierarchies)
+
+    @pytest.mark.parametrize(
+        "value",
+        [float("nan"), float("inf"), float("-inf"), True, False, 10**400],
+        ids=["nan", "inf", "-inf", "true", "false", "int-past-float-range"],
+    )
+    def test_load_distances_rejects_non_finite_and_boolean_numbers(self, hierarchies, value):
+        from recipegraph.errors import SchemaError
+
+        with pytest.raises(SchemaError) as err:
+            load_distances({"pairs": [["onion", "carrot", value]]}, hierarchies)
+        assert err.value.path == "distances.pairs[0]"
+        for field in ("step_cost", "generalization_penalty"):
+            with pytest.raises(SchemaError) as err:
+                load_distances({"pairs": [], field: value}, hierarchies)
+            assert err.value.path == f"distances.{field}"
+
+    def test_load_distances_rejects_nan_read_from_json(self, hierarchies):
+        from recipegraph.errors import SchemaError
+
+        doc = json.loads('{"pairs": [["onion", "carrot", 0.5]], "step_cost": NaN}')
+        with pytest.raises(SchemaError) as err:
+            load_distances(doc, hierarchies)
+        assert err.value.path == "distances.step_cost"
 
     def test_load_distances_rejects_unknown_type(self, hierarchies):
         from recipegraph.errors import UnknownReferenceError

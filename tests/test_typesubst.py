@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from random import Random
 
@@ -9,6 +10,7 @@ from oracles import brute_preferred
 from recgen import SYNTH, random_recipe
 from recipegraph import typesubst
 from recipegraph.acceptability import accept_set, arc_triples, check_acceptable
+from recipegraph.compare import _Budget
 from recipegraph.core import roles
 from recipegraph.errors import (
     BudgetExceededError,
@@ -413,13 +415,18 @@ class TestPlannerMatchesReference:
 
             # unlicense one triple of the recipe; license the rebound action
             # that repairs it and the replacement type of the missing input
-            accepts = accept_set({v for t in typed for v in variants(*t)} - {broken})
+            licensed = {v for t in typed for v in variants(*t)} - {broken}
             candidates = {n: rng.sample(pool, min(2, len(pool))) for n, pool in pools.items()}
             candidates[missing].append(alt)
             for a in recipe.graph.actions:
                 candidates[a].append(verb)
-            for budget in (100, 1000):
+            for policy, budget in itertools.product(("exact", "path-comparable"), (100, 1000)):
+                accepts = accept_set(licensed, policy=policy)
                 for call in (
+                    # the repair lists themselves, in the order they are found
+                    lambda: typesubst._minimal_repairs(
+                        recipe, {}, accepts, SYNTH, candidates, _Budget(budget)
+                    ),
                     lambda: find_secondary(recipe, {}, accepts, SYNTH, candidates, budget=budget),
                     lambda: find_secondary(
                         recipe, {}, accepts, SYNTH, candidates, model, budget, max_size=2
@@ -429,8 +436,11 @@ class TestPlannerMatchesReference:
                     ),
                 ):
                     found = assert_same_as_reference(monkeypatch, call)
-                    kinds.add(found if isinstance(found, str) else type(found).__name__)
-        assert {"list", "SubstitutionPair", "BudgetExceededError"} <= kinds
+                    kinds.add((policy, found if isinstance(found, str) else type(found).__name__))
+        for policy in ("exact", "path-comparable"):
+            assert {
+                (policy, "list"), (policy, "SubstitutionPair"), (policy, "BudgetExceededError")
+            } <= kinds
 
     def test_candidate_pool_with_alias_unknown_and_wrong_kind_types(
         self, monkeypatch, corpus, hierarchies
@@ -460,3 +470,51 @@ class TestPlannerMatchesReference:
                 )
                 == "NoSolutionError"
             )
+
+    # Joint: every candidate has a licensed partner, so arc consistency keeps
+    # all four, but only two of the four combinations are licensed.
+    # Comparable: "soak" and "prepared" sit one step above the licensed
+    # "soak barley" and "soup base", so only a path-comparable set licenses them.
+    JOINT = (
+        {"c1": "spaghetti in bowl"},
+        {
+            "a1": ["pour bolognese sauce on spaghetti", "pour pasta sauce on spaghetti"],
+            "c2": ["spaghetti bolognese", "spaghetti con pasata"],
+        },
+        [
+            {"a1": "pour bolognese sauce on spaghetti", "c2": "spaghetti bolognese"},
+            {"a1": "pour pasta sauce on spaghetti", "c2": "spaghetti con pasata"},
+        ],
+    )
+    COMPARABLE = (
+        {"c1": "barley"},
+        {"a1": ["boil", "soak", "soak barley"], "c2": ["prepared", "soup", "soup base"]},
+        [
+            {"a1": "soak", "c2": "prepared"},
+            {"a1": "soak", "c2": "soup base"},
+            {"a1": "soak barley", "c2": "prepared"},
+            {"a1": "soak barley", "c2": "soup base"},
+        ],
+    )
+
+    @pytest.mark.parametrize(
+        "policy, case",
+        [
+            ("exact", JOINT),
+            ("path-comparable", JOINT),
+            ("exact", (*COMPARABLE[:2], [{"a1": "soak barley", "c2": "soup base"}])),
+            ("path-comparable", COMPARABLE),
+        ],
+        ids=["joint-exact", "joint-path-comparable", "comparable-exact", "comparable-path-comparable"],
+    )
+    def test_pruned_pools_keep_every_repair(self, monkeypatch, corpus, hierarchies, policy, case):
+        primary, candidates, expected = case
+        recipe = corpus.recipe("chop-tomato")
+        accepts = dataclasses.replace(corpus.acceptability, policy=policy)
+        found = assert_same_as_reference(
+            monkeypatch,
+            lambda: typesubst._minimal_repairs(
+                recipe, primary, accepts, hierarchies, candidates, _Budget(100)
+            ),
+        )
+        assert found == expected
