@@ -9,6 +9,7 @@ acceptability-restoring combination of least total type distance.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -181,10 +182,6 @@ class _RepairChecker:
     all, only the comestible pairs and arc triples touching a rebound node
     can change, and ``for_domain`` checks just those. On such a domain it
     agrees with ``apply_substitution`` followed by ``check_acceptable``.
-
-    Under the exact policy a triple is licensed when it is one of the plain
-    ``(input, action, output)`` tuples of the set; under a non-exact policy
-    ``_licensed`` decides, cached per triple of canonical types.
     """
 
     def __init__(
@@ -202,13 +199,12 @@ class _RepairChecker:
         self._graph = graph
         self._hierarchies = hierarchies
         self._accepts = accepts
-        self._exact = accepts.policy == "exact"
-        plain = {(t.input, t.action, t.output) for t in accepts.tuples}
-        self._licensed: dict[tuple[str, str, str], bool] = {}
-        self._licenses = plain.__contains__ if self._exact else self._licensed_within
-        self._by_action: dict[str, list[tuple[str, str, str]]] = {}
-        for triple in plain:
-            self._by_action.setdefault(triple[1], []).append(triple)
+        self._licenses = functools.cache(
+            lambda types: _licensed(AcceptTuple(*types), accepts, hierarchies)
+        )
+        self._by_action: dict[str, list[tuple[str, str]]] = {}
+        for t in accepts.tuples:
+            self._by_action.setdefault(t.action, []).append((t.input, t.output))
         self._matching: dict[tuple[str, str], frozenset[str]] = {}
         self._near: dict[str, frozenset[str]] = {}
         self.conflicts = [
@@ -228,22 +224,15 @@ class _RepairChecker:
             ):
                 self.conflicts.append(frozenset(triple))
 
-    def _licensed_within(self, types: tuple[str, str, str]) -> bool:
-        ok = self._licensed.get(types)
-        if ok is None:
-            ok = self._licensed[types] = _licensed(
-                AcceptTuple(*types), self._accepts, self._hierarchies
-            )
-        return ok
-
     def _matches(self, h: TypeHierarchy, t: str) -> frozenset[str]:
         """The types that a tuple slot holding ``t`` licenses under the policy."""
         key = (h.kind, t)
         found = self._matching.get(key)
         if found is None:
-            found = frozenset((t,)) if self._exact else h.comparable_within(
-                t, self._accepts.depth_limit
-            )
+            if self._accepts.policy == "exact":
+                found = frozenset((t,))
+            else:
+                found = h.comparable_within(t, self._accepts.depth_limit)
             self._matching[key] = found
         return found
 
@@ -265,22 +254,16 @@ class _RepairChecker:
         None with the fixed type. A tuple licenses a triple when each slot
         matches on its own, so a type at one position is supported when some
         tuple matches it there, matches the fixed types, and matches at least
-        one remaining type at every other position. Under the exact policy
-        only the index entries of the possible action types are read.
+        one remaining type at every other position. Only the tuples whose
+        action matches a possible action type are read; matching is symmetric.
         """
         com, act = self._hierarchies.comestible, self._hierarchies.action
         ins, acts, outs = (sets[j] if j is not None else {t} for j, t in slots)
         found: dict[int, set[str]] = {j: set() for j, _ in slots if j is not None}
-        groups = (
-            ((a, self._by_action.get(a, ())) for a in acts)
-            if self._exact
-            else self._by_action.items()
-        )
-        for action, triples in groups:
+        actions = {b for a in acts for b in self._matches(act, a)}
+        for action in actions & self._by_action.keys():
             act_hit = acts & self._matches(act, action)
-            if not act_hit:
-                continue
-            for t_in, _, t_out in triples:
+            for t_in, t_out in self._by_action[action]:
                 in_hit = ins & self._matches(com, t_in)
                 out_hit = outs & self._matches(com, t_out) if in_hit else None
                 if out_hit:
@@ -304,9 +287,8 @@ class _RepairChecker:
         contains a dropped candidate can be acceptable.
 
         The choices come in the order of ``itertools.product`` over the
-        candidate lists. A depth-first walk over ``domain`` checks each
-        comestible pair and shared triple at the position of its last domain
-        node and skips the whole subtree below a choice that fails.
+        candidate lists: the product of the pruned pools, each combination
+        checked on its comestible pairs and shared triples.
         """
         graph, fixed = self._graph, self._types
         outside = [c for c in graph.comestibles if c not in domain]
@@ -345,8 +327,12 @@ class _RepairChecker:
                 if sum(m in at for m in triple) > 1
             )
         )
-        if self._prune(pools, shared):
-            yield from self._walk(domain, pools, shared)
+        if not self._prune(pools, shared):
+            return
+        coms = [i for i, n in enumerate(domain) if n in graph.comestibles]
+        for choice in itertools.product(*pools):
+            if self._fits([t for _, t in choice], coms, shared):
+                yield {n: text for n, (text, _) in zip(domain, choice)}
 
     def _prune(self, pools: list[list[tuple[str, str]]], shared: list) -> bool:
         """Cut ``pools`` in place to arc consistency; False when one runs empty.
@@ -371,44 +357,16 @@ class _RepairChecker:
             pool[:] = [(text, t) for text, t in pool if t in keep]
         return True
 
-    def _walk(
-        self, domain: Sequence[str], pools: list[list[tuple[str, str]]], shared: list
-    ) -> Iterator[dict[str, str]]:
-        """Depth-first over one pool per position, in ``itertools.product`` order."""
-        size = len(domain)
-        completed: list[list] = [[] for _ in domain]
-        for slots in shared:
-            completed[max(j for j, _ in slots if j is not None)].append(slots)
-        coms = [i for i, n in enumerate(domain) if n in self._graph.comestibles]
-        earlier = [[j for j in coms if j < i] if i in coms else [] for i in range(size)]
-        licenses = self._licenses
-        chosen = [""] * size
-        picks = [0] * size
-        i = 0
-        while i >= 0:
-            pool = pools[i]
-            if picks[i] == len(pool):
-                picks[i] = 0
-                i -= 1
-                if i >= 0:
-                    picks[i] += 1
-                continue
-            t = chosen[i] = pool[picks[i]][1]
-            fit = True
-            if earlier[i]:
-                near = self._comparable_to(t)
-                fit = not any(chosen[j] in near for j in earlier[i])
-            if fit:
-                fit = all(
-                    licenses(tuple(chosen[j] if j is not None else f for j, f in slots))
-                    for slots in completed[i]
-                )
-            if fit and i + 1 < size:
-                i += 1
-                continue
-            if fit:
-                yield {n: pools[k][picks[k]][0] for k, n in enumerate(domain)}
-            picks[i] += 1
+    def _fits(self, chosen: list[str], coms: list[int], shared: list) -> bool:
+        """True when one type per domain position passes the pairs and shared triples."""
+        for k, i in enumerate(coms):
+            near = self._comparable_to(chosen[i])
+            if any(chosen[j] in near for j in coms[k + 1:]):
+                return False
+        return all(
+            self._licenses(tuple(chosen[j] if j is not None else f for j, f in slots))
+            for slots in shared
+        )
 
 
 def _minimal_repairs(
