@@ -74,12 +74,10 @@ def _check(cond: bool, path: str, reason: str):
 
 def parse_bundle(data: bytes | str) -> WorkspaceBundle:
     """Parse and cross-check a bundle document."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("bundle", f"not valid JSON: {exc}") from exc
+        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise SchemaError("bundle", f"not valid UTF-8 JSON: {exc}") from exc
     _check(isinstance(doc, Mapping), "bundle", "expected an object")
 
     hdoc = doc.get("hierarchies")

@@ -524,19 +524,13 @@ def run(argv: list[str] | None = None) -> int:
     except (BudgetExceededError, ClosureLimitError) as exc:
         report.diagnose(str(exc))
         return report.emit(BUDGET)
-    except NoSolutionError as exc:
+    except (NoSolutionError, RewriteFailureError) as exc:
         report.diagnose(str(exc))
         return report.emit(NEGATIVE)
-    except RewriteFailureError as exc:
-        report.diagnose(str(exc))
-        return report.emit(NEGATIVE)
-    except RecipeError as exc:
+    except (RecipeError, OSError) as exc:
         report.diagnose(str(exc))
         return report.emit(INPUT_ERROR)
-    except FileNotFoundError as exc:
-        report.diagnose(str(exc))
-        return report.emit(INPUT_ERROR)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         report.diagnose(f"invalid JSON input: {exc}")
         return report.emit(INPUT_ERROR)
 

@@ -19,13 +19,12 @@ node sets, arcs, and typing.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import InvalidRecipeError, UnknownNodeError
-from .typekb import Hierarchies, find_cycle
+from .typekb import Hierarchies, bfs, find_cycle
 
 Arc = tuple[str, str]
 
@@ -177,15 +176,9 @@ def _component(graph: RecipeGraph, start: str) -> frozenset[str]:
     """Nodes joined to ``start`` by arcs in either direction, within the node set."""
     nodes = graph.nodes
     succ, pred = graph._adjacency
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        for nxt in succ.get(cur, ()) + pred.get(cur, ()):
-            if nxt not in seen and nxt in nodes:
-                seen.add(nxt)
-                queue.append(nxt)
-    return frozenset(seen)
+    return frozenset(
+        bfs(start, lambda u: [v for v in succ.get(u, ()) + pred.get(u, ()) if v in nodes])
+    )
 
 
 class Recipe:
@@ -237,19 +230,10 @@ class Recipe:
         if self._reach is None:
             self._reach = {}
         cached = self._reach.get(n)
-        if cached is not None:
-            return cached
-        seen = {n}
-        queue = deque([n])
-        while queue:
-            cur = queue.popleft()
-            for nxt in self.graph.successors(cur):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        result = frozenset(seen)
-        self._reach[n] = result
-        return result
+        if cached is None:
+            succ = self.graph._adjacency[0]
+            cached = self._reach[n] = frozenset(bfs(n, lambda u: succ.get(u, ())))
+        return cached
 
 
 @dataclass(frozen=True)

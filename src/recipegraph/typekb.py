@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import (
     CycleDetectedError,
@@ -27,12 +27,36 @@ from .errors import (
 
 KINDS = ("action", "comestible")
 
+def bfs(
+    start: str, neighbours: Callable[[str], Iterable[str]], radius: int | None = None
+) -> dict[str, int]:
+    """Least number of steps from ``start`` to each node it reaches, itself at 0.
+
+    ``neighbours`` gives the nodes one step away from a node. With ``radius``
+    the search stops at nodes that many steps away.
+    """
+    dist = {start: 0}
+    queue = deque([start])
+    while queue:
+        cur = queue.popleft()
+        steps = dist[cur] + 1
+        if radius is not None and steps > radius:
+            continue
+        for nxt in neighbours(cur):
+            if nxt not in dist:
+                dist[nxt] = steps
+                queue.append(nxt)
+    return dist
+
 
 class TypeHierarchy:
     """Rooted DAG of type ids answering subtype, comparability, and depth queries.
 
     Construct through :func:`load_hierarchy`, which validates the invariants
-    (acyclic, single root, no dangling edges, unambiguous aliases).
+    (acyclic, single root, no dangling edges, unambiguous aliases). Loading
+    is linear in the number of types: a type's up and down distances are
+    computed by one breadth-first search the first time a query needs them,
+    and cached on the instance.
     """
 
     def __init__(
@@ -50,25 +74,21 @@ class TypeHierarchy:
         for t, ps in self._parents.items():
             for p in ps:
                 self._children[p].add(t)
-        # up_dist[t][u] = least number of child->parent steps from t to ancestor u
-        self._up_dist: dict[str, dict[str, int]] = {
-            t: self._bfs(t, self._parents) for t in self._parents
-        }
-        self._down_dist: dict[str, dict[str, int]] = {
-            t: self._bfs(t, self._children) for t in self._parents
-        }
-        self.depth = max(d[self.root] for d in self._up_dist.values())
+        # per type, the least steps up to each ancestor and down to each descendant
+        self._up: dict[str, dict[str, int]] = {}
+        self._down: dict[str, dict[str, int]] = {}
+        self.depth = max(self._down_from(root).values())
 
-    @staticmethod
-    def _bfs(start: str, edges: Mapping[str, Iterable[str]]) -> dict[str, int]:
-        dist = {start: 0}
-        queue = deque([start])
-        while queue:
-            cur = queue.popleft()
-            for nxt in edges[cur]:
-                if nxt not in dist:
-                    dist[nxt] = dist[cur] + 1
-                    queue.append(nxt)
+    def _up_from(self, t: str) -> dict[str, int]:
+        dist = self._up.get(t)
+        if dist is None:
+            dist = self._up[t] = bfs(t, self._parents.__getitem__)
+        return dist
+
+    def _down_from(self, t: str) -> dict[str, int]:
+        dist = self._down.get(t)
+        if dist is None:
+            dist = self._down[t] = bfs(t, self._children.__getitem__)
         return dist
 
     @property
@@ -99,7 +119,7 @@ class TypeHierarchy:
     def is_subtype(self, t1: str, t2: str) -> bool:
         """True iff ``t1`` equals ``t2`` or sits below it in the hierarchy."""
         t1, t2 = self.resolve(t1), self.resolve(t2)
-        return t2 in self._up_dist[t1]
+        return t2 in self._up_from(t1)
 
     def comparable(self, t1: str, t2: str) -> bool:
         """True iff one of the two types is an ancestor-or-self of the other."""
@@ -107,13 +127,13 @@ class TypeHierarchy:
 
     def ancestors(self, t: str, within: int | None = None) -> frozenset[str]:
         """Ancestors of ``t`` including itself, optionally capped at ``within`` steps."""
-        dist = self._up_dist[self.resolve(t)]
+        dist = self._up_from(self.resolve(t))
         if within is None:
             return frozenset(dist)
         return frozenset(u for u, d in dist.items() if d <= within)
 
     def descendants(self, t: str, within: int | None = None) -> frozenset[str]:
-        dist = self._down_dist[self.resolve(t)]
+        dist = self._down_from(self.resolve(t))
         if within is None:
             return frozenset(dist)
         return frozenset(u for u, d in dist.items() if d <= within)
@@ -124,22 +144,13 @@ class TypeHierarchy:
 
     def relatives(self, t: str, radius: int) -> frozenset[str]:
         """Types within ``radius`` steps of ``t`` treating edges as undirected."""
-        t = self.resolve(t)
-        dist = {t: 0}
-        queue = deque([t])
-        while queue:
-            cur = queue.popleft()
-            if dist[cur] == radius:
-                continue
-            for nxt in self._parents[cur] | frozenset(self._children[cur]):
-                if nxt not in dist:
-                    dist[nxt] = dist[cur] + 1
-                    queue.append(nxt)
-        return frozenset(dist)
+        return frozenset(
+            bfs(self.resolve(t), lambda u: self._parents[u] | self._children[u], radius)
+        )
 
     def up_distance(self, t: str, ancestor: str) -> int | None:
         """Least number of upward steps from ``t`` to ``ancestor``, or None."""
-        return self._up_dist[self.resolve(t)].get(self.resolve(ancestor))
+        return self._up_from(self.resolve(t)).get(self.resolve(ancestor))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"TypeHierarchy(kind={self.kind!r}, root={self.root!r}, {len(self._parents)} types)"
@@ -308,8 +319,8 @@ class DistanceModel:
 
     def _fallback(self, hierarchy: TypeHierarchy, t1: str, t2: str) -> float:
         best = None
-        up1 = hierarchy._up_dist[t1]
-        up2 = hierarchy._up_dist[t2]
+        up1 = hierarchy._up_from(t1)
+        up2 = hierarchy._up_from(t2)
         for anc, d1 in up1.items():
             d2 = up2.get(anc)
             if d2 is None:

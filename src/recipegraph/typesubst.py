@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -441,15 +442,15 @@ def find_secondary(
         recipe, dict(primary), accepts, hierarchies, candidates, b, max_size
     )
     if model is not None:
-        solutions.sort(
-            key=lambda s: (
-                cost(s, recipe, model, hierarchies),
-                sorted(s.items()),
-            )
-        )
+        solutions.sort(key=_by_cost(recipe, model, hierarchies))
     else:
         solutions.sort(key=lambda s: (len(s), sorted(s.items())))
     return solutions
+
+
+def _by_cost(recipe: Recipe, model: CostModel, hierarchies: Hierarchies):
+    """Sort key ordering secondary sets by cost, then by canonical bindings."""
+    return lambda s: (cost(s, recipe, model, hierarchies), sorted(s.items()))
 
 
 def _min_repair_cost(
@@ -469,14 +470,8 @@ def _min_repair_cost(
         )
     except NoSolutionError:
         return None
-    best: tuple[float, list, dict[str, str]] | None = None
-    for s in repairs:
-        c = cost(s, recipe, model, hierarchies)
-        key = (c, sorted(s.items()))
-        if best is None or key < (best[0], best[1]):
-            best = (c, sorted(s.items()), s)
-    assert best is not None
-    return best[0], best[2]
+    best = min(repairs, key=_by_cost(recipe, model, hierarchies))
+    return cost(best, recipe, model, hierarchies), best
 
 
 def resolve_unavailable(
@@ -558,22 +553,17 @@ def preferred_pair(
             (model.distances.distance(h, recipe.type_of(n), t), t) for t in pool
         )
         pools.append(priced)
-    summing = model.aggregation == "sum"
-    if summing:
-        min_tail = [0.0] * (len(order) + 1)
-        for i in range(len(order) - 1, -1, -1):
-            min_tail[i] = min_tail[i + 1] + pools[i][0][0]
-    else:
-        min_tail = [0.0] * (len(order) + 1)
-        for i in range(len(order) - 1, -1, -1):
-            min_tail[i] = max(min_tail[i + 1], pools[i][0][0])
+    agg = operator.add if model.aggregation == "sum" else max
+    min_tail = [0.0] * (len(order) + 1)
+    for i in range(len(order) - 1, -1, -1):
+        min_tail[i] = agg(min_tail[i + 1], pools[i][0][0])
 
     best_key: tuple[float, list, list] | None = None
     best_pair: SubstitutionPair | None = None
 
     def walk(i: int, partial: dict[str, str], spent: float):
         nonlocal best_key, best_pair
-        bound = spent + min_tail[i] if summing else max(spent, min_tail[i])
+        bound = agg(spent, min_tail[i])
         if best_key is not None and bound > best_key[0]:
             return
         if i == len(order):
@@ -583,7 +573,7 @@ def preferred_pair(
             if found is None:
                 return
             repair_cost, secondary = found
-            total = spent + repair_cost if summing else max(spent, repair_cost)
+            total = agg(spent, repair_cost)
             key = (total, sorted(partial.items()), sorted(secondary.items()))
             if best_key is None or key < best_key:
                 best_key = key
@@ -593,7 +583,7 @@ def preferred_pair(
         for d, t in pools[i]:
             b.spend()
             partial[n] = t
-            walk(i + 1, partial, spent + d if summing else max(spent, d))
+            walk(i + 1, partial, agg(spent, d))
             del partial[n]
 
     walk(0, {}, 0.0)

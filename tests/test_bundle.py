@@ -111,6 +111,12 @@ class TestSchemaChecks:
         with pytest.raises(UnknownReferenceError):
             parse_bundle(json.dumps(doc))
 
+    def test_bytes_that_are_not_utf8_are_a_located_schema_error(self):
+        data = json.dumps(minimal_doc(), ensure_ascii=False).replace("n1", "crème")
+        with pytest.raises(SchemaError) as err:
+            parse_bundle(data.encode("latin-1"))
+        assert err.value.path == "bundle"
+
     def test_non_string_type_in_typing_is_a_located_schema_error(self):
         doc = minimal_doc()
         doc["recipes"][0]["typing"]["n1"] = ["raw onion"]

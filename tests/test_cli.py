@@ -353,6 +353,32 @@ class TestRewriteCommands:
         assert report["diagnostics"] == [f"{plan}: expected a plan object"]
 
 
+class TestUnreadableFiles:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["roles", "{folder}"],
+            ["validate", "--bundle", "{folder}"],
+            ["plan", "spaghetti-pasata", "--missing", "c0", "--distances-file", "{folder}"],
+            ["validate", "--bundle", "{latin1}"],
+            ["accept", "spaghetti-pasata", "--accept-file", "{latin1}"],
+            ["rewrite-seq", "hummus", "{latin1}"],
+        ],
+        ids=["roles-folder", "bundle-folder", "distances-folder",
+             "bundle-latin1", "accept-latin1", "plan-latin1"],
+    )
+    def test_a_folder_or_non_utf8_file_is_an_input_error(self, capsys, tmp_path, argv):
+        folder = tmp_path / "d.json"
+        folder.mkdir()
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes('{"primary": [], "note": "crème"}'.encode("latin-1"))
+        code, report = run_json(
+            capsys, *(a.format(folder=folder, latin1=latin1) for a in argv)
+        )
+        assert code == 2
+        assert report["status"] == "error"
+
+
 class TestExportDot:
     def test_stdout_matches_the_library(self, capsys, bundle_path, corpus):
         from recipegraph.bundle import export_dot

@@ -246,3 +246,169 @@ class TestDistance:
     def test_load_distances_accepts_a_bare_triple_list(self, hierarchies):
         model = load_distances([["onion", "carrot", 0.4]], hierarchies)
         assert model.distance(hierarchies.comestible, "carrot", "onion") == 0.4
+
+
+def _eager_bfs(start, edges):
+    dist = {start: 0}
+    queue = [start]
+    for cur in queue:
+        for nxt in edges[cur]:
+            if nxt not in dist:
+                dist[nxt] = dist[cur] + 1
+                queue.append(nxt)
+    return dist
+
+
+class _EagerHierarchy:
+    """Reference answers from all-pairs distance tables built up front.
+
+    This is how hierarchies once answered every query: one breadth-first
+    search per type and direction at load, and table lookups after that.
+    """
+
+    def __init__(self, doc):
+        self.parents = {e["id"]: set(e["parents"]) for e in doc["types"]}
+        self.aliases = {a: e["id"] for e in doc["types"] for a in e.get("aliases", [])}
+        children = {t: set() for t in self.parents}
+        for t, ps in self.parents.items():
+            for p in ps:
+                children[p].add(t)
+        near = {t: self.parents[t] | children[t] for t in self.parents}
+        self.up = {t: _eager_bfs(t, self.parents) for t in self.parents}
+        self.down = {t: _eager_bfs(t, children) for t in self.parents}
+        self.near = {t: _eager_bfs(t, near) for t in self.parents}
+        self._depth = max(d[doc["root"]] for d in self.up.values())
+
+    def _id(self, text):
+        return self.aliases.get(text, text)
+
+    def _capped(self, table, t, within):
+        return {u for u, d in table[self._id(t)].items() if within is None or d <= within}
+
+    def depth(self):
+        return self._depth
+
+    def is_subtype(self, t1, t2):
+        return self._id(t2) in self.up[self._id(t1)]
+
+    def comparable(self, t1, t2):
+        return self.is_subtype(t1, t2) or self.is_subtype(t2, t1)
+
+    def ancestors(self, t, within=None):
+        return self._capped(self.up, t, within)
+
+    def descendants(self, t, within=None):
+        return self._capped(self.down, t, within)
+
+    def comparable_within(self, t, steps):
+        return self.ancestors(t, steps) | self.descendants(t, steps)
+
+    def relatives(self, t, radius):
+        return self._capped(self.near, t, radius)
+
+    def up_distance(self, t, ancestor):
+        return self.up[self._id(t)].get(self._id(ancestor))
+
+    def distance(self, t1, t2):
+        """``DistanceModel()``'s fallback route: step cost 1, level-shift penalty 2."""
+        t1, t2 = self._id(t1), self._id(t2)
+        if t1 == t2:
+            return 0.0
+        up2 = self.up[t2]
+        best = min(
+            (d1 + up2[a]) * 1.0 + abs(d1 - up2[a]) * 2.0
+            for a, d1 in self.up[t1].items()
+            if a in up2
+        )
+        return best / max(1, self._depth)
+
+
+def _ask(h, query, args):
+    if query == "depth":
+        return h.depth
+    if query == "distance":
+        return DistanceModel().distance(h, *args)
+    return getattr(h, query)(*args)
+
+
+def _hierarchy_doc(h):
+    aliases = {}
+    for alias, t in h.aliases.items():
+        aliases.setdefault(t, []).append(alias)
+    types = [
+        {"id": t, "parents": sorted(h.parents(t)), "aliases": sorted(aliases.get(t, []))}
+        for t in sorted(h.types)
+    ]
+    return {"kind": h.kind, "root": h.root, "types": types}
+
+
+def _random_dag_doc(seed):
+    """A rooted multi-parent DAG whose ids do not sort in level order, with aliases."""
+    rng = random.Random(seed)
+    ids = [f"t{i:02d}" for i in range(rng.randint(8, 30))]
+    rng.shuffle(ids)
+    types = [{"id": ids[0], "parents": []}]
+    for i, t in enumerate(ids[1:], start=1):
+        window = ids[max(0, i - 5):i]
+        types.append(
+            {
+                "id": t,
+                "parents": rng.sample(window, rng.randint(1, min(3, len(window)))),
+                "aliases": [f"{t} also {j}" for j in range(rng.randint(0, 2))],
+            }
+        )
+    rng.shuffle(types)
+    return hdoc(types, root=ids[0])
+
+
+class TestQueriesMatchEagerTables:
+    @pytest.mark.parametrize(
+        "source", ["action", "comestible", *(f"dag-{seed}" for seed in range(6))]
+    )
+    def test_every_query_matches_the_all_pairs_reference(self, hierarchies, source):
+        if source.startswith("dag-"):
+            doc = _random_dag_doc(int(source.removeprefix("dag-")))
+        else:
+            doc = _hierarchy_doc(hierarchies.for_kind(source))
+        ref = _EagerHierarchy(doc)
+        rng = random.Random(source)
+        spellings = sorted(ref.parents) + sorted(ref.aliases)
+        calls = [("depth", ())]
+        for t in spellings:
+            calls += [("ancestors", (t,)), ("descendants", (t,))]
+            for k in range(4):
+                calls += [
+                    (query, (t, k))
+                    for query in ("ancestors", "descendants", "comparable_within", "relatives")
+                ]
+        pairs = [(a, b) for a in spellings for b in spellings]
+        for a, b in rng.sample(pairs, min(len(pairs), 600)):
+            calls += [
+                (query, (a, b))
+                for query in ("is_subtype", "comparable", "up_distance", "distance")
+            ]
+        rng.shuffle(calls)
+
+        # each query first on a hierarchy nothing has asked yet, then all of
+        # them in one shuffled order on a hierarchy that earlier queries warm
+        for query, args in calls[:300]:
+            expected = getattr(ref, query)(*args)
+            assert _ask(load_hierarchy(doc), query, args) == expected, (query, args)
+        warm = load_hierarchy(doc)
+        for query, args in calls:
+            assert _ask(warm, query, args) == getattr(ref, query)(*args), (query, args)
+
+
+class TestDeepHierarchy:
+    def test_a_ten_thousand_level_chain_loads_and_answers(self):
+        ids = [f"t{i:05d}" for i in range(10_000)]
+        types = [{"id": t, "parents": [p]} for t, p in zip(ids, ids[1:])]
+        types.append({"id": ids[-1], "parents": []})
+        h = load_hierarchy(hdoc(types, root=ids[-1]))
+        leaf, root = ids[0], ids[-1]
+        assert h.depth == 9999
+        assert h.is_subtype(leaf, root)
+        assert not h.is_subtype(root, leaf)
+        assert h.up_distance(leaf, root) == 9999
+        # 9999 steps up at cost 1, plus 2 per level between the two endpoints
+        assert DistanceModel().distance(h, leaf, root) == 3.0
