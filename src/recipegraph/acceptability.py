@@ -8,11 +8,12 @@ licensed triple also licenses nearby generalizations and specializations.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .core import Recipe
 from .errors import SchemaError
-from .typekb import Hierarchies
+from .typekb import Hierarchies, TypeHierarchy
 
 POLICIES = ("exact", "path-comparable")
 
@@ -134,25 +135,91 @@ def arc_triples(recipe: Recipe) -> list[tuple[str, str, str]]:
     return triples
 
 
-def _licensed(
-    triple: AcceptTuple,
-    accepts: AcceptabilitySet,
-    hierarchies: Hierarchies,
-) -> bool:
-    if triple in accepts.tuples:
-        return True
-    if accepts.policy == "exact":
+class _Licences:
+    """Which (input, action, output) type triples the tuples of one set license.
+
+    A tuple licenses a triple when each slot matches on its own: the types
+    are equal under the exact policy, or comparable within ``depth_limit``
+    steps otherwise. Only a canonical type id of the slot's kind matches; an
+    alias, an unknown text or a type of the other kind matches no slot. The
+    tuples are indexed by action, and comparability within k steps is
+    symmetric, so a triple is tested only against the tuples whose action
+    matches its own.
+    """
+
+    def __init__(self, accepts: AcceptabilitySet, hierarchies: Hierarchies):
+        self._tuples = accepts.tuples
+        self._exact = accepts.policy == "exact"
+        self._depth = accepts.depth_limit
+        self._com, self._act = hierarchies.comestible, hierarchies.action
+        self._slots: dict[tuple[str, str], frozenset[str]] = {}
+        self._answers: dict[tuple[str, str, str], bool] = {}
+
+    @cached_property
+    def _by_action(self) -> dict[str, list[tuple[str, str]]]:
+        """The tuples' (input, output) pairs by action, built on first use."""
+        index: dict[str, list[tuple[str, str]]] = {}
+        for t in self._tuples:
+            action = t.action
+            if not self._exact and action in self._act:
+                action = self._act.resolve(action)
+            index.setdefault(action, []).append((t.input, t.output))
+        return index
+
+    def _match(self, h: TypeHierarchy, t: str) -> frozenset[str]:
+        """The types that a tuple slot holding ``t`` licenses under the policy."""
+        key = (h.kind, t)
+        found = self._slots.get(key)
+        if found is None:
+            if self._exact:
+                found = frozenset((t,))
+            else:
+                found = h.comparable_within(t, self._depth)
+            self._slots[key] = found
+        return found
+
+    def _licensed(self, types: tuple[str, str, str]) -> bool:
+        """True when some tuple licenses the (input, action, output) ``types``."""
+        found = self._answers.get(types)
+        if found is None:
+            found = self._answers[types] = AcceptTuple(*types) in self._tuples or (
+                not self._exact and self._licensed_near(*types)
+            )
+        return found
+
+    def _licensed_near(self, i: str, a: str, o: str) -> bool:
+        """The non-exact test, through the tuples of the actions comparable to ``a``."""
+        com, act = self._com, self._act
+        if a not in act or act.resolve(a) != a:
+            return False
+        for action in self._match(act, a) & self._by_action.keys():
+            for t_in, t_out in self._by_action[action]:
+                if i in self._match(com, t_in) and o in self._match(com, t_out):
+                    return True
         return False
-    k = accepts.depth_limit
-    h_com, h_act = hierarchies.comestible, hierarchies.action
-    for t in accepts.tuples:
-        if (
-            triple.input in h_com.comparable_within(t.input, k)
-            and triple.action in h_act.comparable_within(t.action, k)
-            and triple.output in h_com.comparable_within(t.output, k)
-        ):
-            return True
-    return False
+
+    def _supports(self, slots, sets: list[set[str]]) -> dict[int, set[str]]:
+        """Per domain position of one triple, its types that some tuple licenses.
+
+        ``slots`` gives, for input, action and output, a domain position or
+        None with the fixed type; ``sets`` holds each position's canonical
+        types. A type at one position is supported when some tuple matches
+        it there, matches the fixed types, and matches at least one remaining
+        type at every other position.
+        """
+        ins, acts, outs = (sets[j] if j is not None else {t} for j, t in slots)
+        found: dict[int, set[str]] = {j: set() for j, _ in slots if j is not None}
+        actions = {b for a in acts for b in self._match(self._act, a)}
+        for action in actions & self._by_action.keys():
+            act_hit = acts & self._match(self._act, action)
+            for t_in, t_out in self._by_action[action]:
+                in_hit = ins & self._match(self._com, t_in)
+                out_hit = outs & self._match(self._com, t_out) if in_hit else None
+                if out_hit:
+                    for (j, _), hit in zip(slots, (in_hit, act_hit, out_hit)):
+                        if j is not None:
+                            found[j] |= hit
+        return found
 
 
 def check_acceptable(
@@ -163,11 +230,12 @@ def check_acceptable(
     All offending pairs are reported, not just the first, so substitution
     planners can see the full repair surface.
     """
+    licences = _Licences(accepts, hierarchies)
     violations = []
     for c, a, c2 in arc_triples(recipe):
-        triple = AcceptTuple(recipe.type_of(c), recipe.type_of(a), recipe.type_of(c2))
-        if not _licensed(triple, accepts, hierarchies):
-            violations.append(ArcViolation(c, a, c2, triple))
+        types = (recipe.type_of(c), recipe.type_of(a), recipe.type_of(c2))
+        if not licences._licensed(types):
+            violations.append(ArcViolation(c, a, c2, AcceptTuple(*types)))
     return violations
 
 

@@ -40,6 +40,7 @@ from .errors import (
     NoSolutionError,
     RecipeError,
     RewriteFailureError,
+    SchemaError,
 )
 from .rewrite import (
     RewriteFailure,
@@ -110,28 +111,33 @@ def _say_recipe(report: _Report, recipe: Recipe):
     report.say(canonical_json(recipe_doc(recipe)).decode("utf-8").rstrip("\n"))
 
 
+def _read_json(path: str):
+    """Parse a JSON side file; a malformed or non-UTF-8 one is a SchemaError at its path."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise SchemaError(path, f"not valid UTF-8 JSON: {exc}") from exc
+
+
 def _recipe_ref(ws: WorkspaceBundle, ref: str) -> Recipe:
     """Resolve a recipe reference: a bundle id, or a path to a recipe document."""
     if ref in ws.raw_recipes:
         return ws.recipe(ref)
     path = Path(ref)
     if path.suffix == ".json" and path.exists():
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        return build_recipe(*check_recipe_doc(doc, ref), ws.hierarchies)
+        return build_recipe(*check_recipe_doc(_read_json(ref), ref), ws.hierarchies)
     raise RecipeError(f"no recipe named {ref!r} in the bundle and no such file")
 
 
 def _accepts(ws: WorkspaceBundle, args):
     if getattr(args, "accept_file", None):
-        doc = json.loads(Path(args.accept_file).read_text(encoding="utf-8"))
-        return load_acceptability(doc, ws.hierarchies)
+        return load_acceptability(_read_json(args.accept_file), ws.hierarchies)
     return ws.acceptability
 
 
 def _distances(ws: WorkspaceBundle, args):
     if getattr(args, "distances_file", None):
-        doc = json.loads(Path(args.distances_file).read_text(encoding="utf-8"))
-        return load_distances(doc, ws.hierarchies)
+        return load_distances(_read_json(args.distances_file), ws.hierarchies)
     return ws.distances
 
 
@@ -357,7 +363,7 @@ def cmd_rewrite(args, ws: WorkspaceBundle, report: _Report) -> int:
 
 def cmd_rewrite_seq(args, ws: WorkspaceBundle, report: _Report) -> int:
     host = _recipe_ref(ws, args.recipe)
-    plan = json.loads(Path(args.plan).read_text(encoding="utf-8"))
+    plan = _read_json(args.plan)
     _check(isinstance(plan, dict), args.plan, "expected a plan object")
     steps = []
     for phase in ("primary", "secondary"):
@@ -529,9 +535,6 @@ def run(argv: list[str] | None = None) -> int:
         return report.emit(NEGATIVE)
     except (RecipeError, OSError) as exc:
         report.diagnose(str(exc))
-        return report.emit(INPUT_ERROR)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        report.diagnose(f"invalid JSON input: {exc}")
         return report.emit(INPUT_ERROR)
 
 

@@ -9,14 +9,13 @@ acceptability-restoring combination of least total type distance.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .acceptability import AcceptabilitySet, AcceptTuple, _licensed, arc_triples
+from .acceptability import AcceptabilitySet, _Licences, arc_triples
 from .compare import DEFAULT_BUDGET, NodeBijection, _Budget, isomorphic
 from .core import Recipe, make_recipe, typing_violations
 from .errors import (
@@ -24,7 +23,7 @@ from .errors import (
     NotIsomorphicError,
     UnknownTypeError,
 )
-from .typekb import DistanceModel, Hierarchies, TypeHierarchy
+from .typekb import DistanceModel, Hierarchies
 
 SubstitutionSet = Mapping[str, str]
 
@@ -199,14 +198,7 @@ class _RepairChecker:
                 typing[n] = t
         self._graph = graph
         self._hierarchies = hierarchies
-        self._accepts = accepts
-        self._licenses = functools.cache(
-            lambda types: _licensed(AcceptTuple(*types), accepts, hierarchies)
-        )
-        self._by_action: dict[str, list[tuple[str, str]]] = {}
-        for t in accepts.tuples:
-            self._by_action.setdefault(t.action, []).append((t.input, t.output))
-        self._matching: dict[tuple[str, str], frozenset[str]] = {}
+        self._licences = _Licences(accepts, hierarchies)
         self._near: dict[str, frozenset[str]] = {}
         self.conflicts = [
             frozenset(v.nodes) for v in typing_violations(graph, typing, hierarchies)
@@ -220,22 +212,10 @@ class _RepairChecker:
         for triple in arc_triples(recipe):
             for n in triple:
                 self._triples_at.setdefault(n, []).append(triple)
-            if all(n in self._types for n in triple) and not self._licenses(
+            if all(n in self._types for n in triple) and not self._licences._licensed(
                 tuple(self._types[n] for n in triple)
             ):
                 self.conflicts.append(frozenset(triple))
-
-    def _matches(self, h: TypeHierarchy, t: str) -> frozenset[str]:
-        """The types that a tuple slot holding ``t`` licenses under the policy."""
-        key = (h.kind, t)
-        found = self._matching.get(key)
-        if found is None:
-            if self._accepts.policy == "exact":
-                found = frozenset((t,))
-            else:
-                found = h.comparable_within(t, self._accepts.depth_limit)
-            self._matching[key] = found
-        return found
 
     def _comparable_to(self, t: str) -> frozenset[str]:
         near = self._near.get(t)
@@ -247,31 +227,6 @@ class _RepairChecker:
     def can_repair(self, domain: Sequence[str]) -> bool:
         """False when rebinding ``domain`` leaves some violation untouched."""
         return all(not c.isdisjoint(domain) for c in self.conflicts)
-
-    def _supports(self, slots, sets: list[set[str]]) -> dict[int, set[str]]:
-        """Per domain position of one triple, its types that some tuple licenses.
-
-        ``slots`` gives, for input, action and output, a domain position or
-        None with the fixed type. A tuple licenses a triple when each slot
-        matches on its own, so a type at one position is supported when some
-        tuple matches it there, matches the fixed types, and matches at least
-        one remaining type at every other position. Only the tuples whose
-        action matches a possible action type are read; matching is symmetric.
-        """
-        com, act = self._hierarchies.comestible, self._hierarchies.action
-        ins, acts, outs = (sets[j] if j is not None else {t} for j, t in slots)
-        found: dict[int, set[str]] = {j: set() for j, _ in slots if j is not None}
-        actions = {b for a in acts for b in self._matches(act, a)}
-        for action in actions & self._by_action.keys():
-            act_hit = acts & self._matches(act, action)
-            for t_in, t_out in self._by_action[action]:
-                in_hit = ins & self._matches(com, t_in)
-                out_hit = outs & self._matches(com, t_out) if in_hit else None
-                if out_hit:
-                    for (j, _), hit in zip(slots, (in_hit, act_hit, out_hit)):
-                        if j is not None:
-                            found[j] |= hit
-        return found
 
     def for_domain(
         self, domain: Sequence[str], candidates: Mapping[str, Sequence[str]]
@@ -312,7 +267,7 @@ class _RepairChecker:
                     if any(fixed[c] in near for c in outside):
                         continue
                 if all(
-                    self._licenses(tuple(t if m == n else fixed[m] for m in triple))
+                    self._licences._licensed(tuple(t if m == n else fixed[m] for m in triple))
                     for triple in lone
                 ):
                     pool.append((text, t))
@@ -348,7 +303,7 @@ class _RepairChecker:
         while changed:
             changed = False
             for slots in shared:
-                for j, keep in self._supports(slots, sets).items():
+                for j, keep in self._licences._supports(slots, sets).items():
                     if len(keep) < len(sets[j]):
                         if not keep:
                             return False
@@ -365,7 +320,7 @@ class _RepairChecker:
             if any(chosen[j] in near for j in coms[k + 1:]):
                 return False
         return all(
-            self._licenses(tuple(chosen[j] if j is not None else f for j, f in slots))
+            self._licences._licensed(tuple(chosen[j] if j is not None else f for j, f in slots))
             for slots in shared
         )
 
@@ -453,27 +408,6 @@ def _by_cost(recipe: Recipe, model: CostModel, hierarchies: Hierarchies):
     return lambda s: (cost(s, recipe, model, hierarchies), sorted(s.items()))
 
 
-def _min_repair_cost(
-    recipe: Recipe,
-    primary: dict[str, str],
-    accepts: AcceptabilitySet,
-    hierarchies: Hierarchies,
-    candidates: Mapping[str, Sequence[str]],
-    model: CostModel,
-    budget: _Budget,
-    max_size: int | None = None,
-) -> tuple[float, dict[str, str]] | None:
-    """Cheapest acceptability-restoring secondary set for a fixed primary, or None."""
-    try:
-        repairs = _minimal_repairs(
-            recipe, primary, accepts, hierarchies, candidates, budget, max_size
-        )
-    except NoSolutionError:
-        return None
-    best = min(repairs, key=_by_cost(recipe, model, hierarchies))
-    return cost(best, recipe, model, hierarchies), best
-
-
 def resolve_unavailable(
     recipe: Recipe, unavailable: Iterable[str], hierarchies: Hierarchies
 ) -> tuple[frozenset[str], frozenset[str]]:
@@ -534,14 +468,6 @@ def preferred_pair(
             n: [t for t in pool if t not in banned] for n, pool in candidates.items()
         }
 
-    if not target_nodes:
-        found = _min_repair_cost(
-            recipe, {}, accepts, hierarchies, candidates, model, b
-        )
-        if found is None:
-            return None
-        return SubstitutionPair.of({}, found[1])
-
     order = sorted(target_nodes)
     pools = []
     for n in order:
@@ -567,13 +493,14 @@ def preferred_pair(
         if best_key is not None and bound > best_key[0]:
             return
         if i == len(order):
-            found = _min_repair_cost(
-                recipe, dict(partial), accepts, hierarchies, candidates, model, b
-            )
-            if found is None:
+            try:
+                repairs = _minimal_repairs(
+                    recipe, dict(partial), accepts, hierarchies, candidates, b
+                )
+            except NoSolutionError:
                 return
-            repair_cost, secondary = found
-            total = agg(spent, repair_cost)
+            secondary = min(repairs, key=_by_cost(recipe, model, hierarchies))
+            total = agg(spent, cost(secondary, recipe, model, hierarchies))
             key = (total, sorted(partial.items()), sorted(secondary.items()))
             if best_key is None or key < best_key:
                 best_key = key

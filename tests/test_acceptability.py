@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import itertools
+from random import Random
+
 import pytest
 
 from oracles import brute_expand
+from recgen import SYNTH, random_recipe
 from recipegraph.acceptability import (
     AcceptTuple,
     accept_set,
@@ -12,6 +16,7 @@ from recipegraph.acceptability import (
     is_acceptable,
     load_acceptability,
 )
+from recipegraph.core import Recipe
 from recipegraph.errors import SchemaError, UnknownTypeError
 
 
@@ -145,3 +150,76 @@ class TestExpandTuples:
         loaded = load_acceptability([["carrot", "chop", "chopped carrot"]], hierarchies)
         assert AcceptTuple("carrot", "chop", "chopped carrot") in loaded
         assert loaded.policy == "exact"
+
+
+def _reference_licensed(triple, accepts, hierarchies) -> bool:
+    """The full scan over every tuple, kept as the reference for the indexed lookup."""
+    if triple in accepts.tuples:
+        return True
+    if accepts.policy == "exact":
+        return False
+    k = accepts.depth_limit
+    h_com, h_act = hierarchies.comestible, hierarchies.action
+    for t in accepts.tuples:
+        if (
+            triple.input in h_com.comparable_within(t.input, k)
+            and triple.action in h_act.comparable_within(t.action, k)
+            and triple.output in h_com.comparable_within(t.output, k)
+        ):
+            return True
+    return False
+
+
+def _odd_typing(rng: Random, recipe: Recipe, hierarchies, licensed: set) -> dict[str, str]:
+    """The recipe's typing with some nodes retyped, not all of them to canonical ids.
+
+    A node may get a relative of its type, an alias, an unknown text or a type
+    of the other kind. An action given an alias has the type it stands for
+    licensed on its triples, so only the alias itself keeps them unlicensed.
+    """
+    typing = dict(recipe.typing)
+    for n in sorted(typing):
+        if rng.random() < 0.5:
+            continue
+        kind = recipe.graph.kind_of(n)
+        h = hierarchies.for_kind(kind)
+        other = hierarchies.for_kind("comestible" if kind == "action" else "action")
+        options = sorted(h.relatives(typing[n], 3)) + ["no such type", min(other.types)]
+        options += sorted(h.aliases) * 3
+        typing[n] = rng.choice(options)
+        if typing[n] in h.aliases and kind == "action":
+            for c, a, c2 in arc_triples(recipe):
+                if a == n:
+                    licensed.add((recipe.type_of(c), h.resolve(typing[n]), recipe.type_of(c2)))
+    return typing
+
+
+class TestLicencesMatchFullScan:
+    @pytest.mark.parametrize("source", ["corpus", "synthetic"])
+    def test_check_acceptable_agrees_with_the_reference(self, corpus, source):
+        hierarchies = corpus.hierarchies if source == "corpus" else SYNTH
+        seen = set()
+        for seed in range(200):
+            rng = Random(seed)
+            if source == "corpus":
+                recipe = corpus.recipe(rng.choice(corpus.recipe_ids()))
+            else:
+                recipe = random_recipe(rng, max_actions=4, max_nodes=10)
+            typed = {
+                tuple(recipe.type_of(n) for n in triple) for triple in arc_triples(recipe)
+            }
+            licensed = {t for t in typed if rng.random() < 0.5}
+            odd = Recipe(recipe.graph, _odd_typing(rng, recipe, hierarchies, licensed))
+            for policy, depth in itertools.product(("exact", "path-comparable"), range(4)):
+                accepts = accept_set(licensed, policy=policy, depth_limit=depth)
+                expected = []
+                for c, a, c2 in arc_triples(odd):
+                    triple = AcceptTuple(odd.type_of(c), odd.type_of(a), odd.type_of(c2))
+                    if _reference_licensed(triple, accepts, hierarchies):
+                        seen.add("in set" if triple in accepts else "near")
+                    else:
+                        expected.append((c, a, c2, triple))
+                        seen.add("unlicensed")
+                found = check_acceptable(odd, accepts, hierarchies)
+                assert [(v.input, v.action, v.output, v.triple) for v in found] == expected
+        assert seen == {"in set", "near", "unlicensed"}

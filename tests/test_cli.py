@@ -363,20 +363,50 @@ class TestUnreadableFiles:
             ["validate", "--bundle", "{latin1}"],
             ["accept", "spaghetti-pasata", "--accept-file", "{latin1}"],
             ["rewrite-seq", "hummus", "{latin1}"],
+            ["roles", "{malformed}"],
+            ["validate", "--bundle", "{malformed}"],
+            ["accept", "spaghetti-pasata", "--accept-file", "{malformed}"],
+            ["plan", "spaghetti-pasata", "--missing", "c0", "--distances-file", "{malformed}"],
+            ["rewrite-seq", "hummus", "{malformed}"],
         ],
         ids=["roles-folder", "bundle-folder", "distances-folder",
-             "bundle-latin1", "accept-latin1", "plan-latin1"],
+             "bundle-latin1", "accept-latin1", "plan-latin1",
+             "roles-malformed", "bundle-malformed", "accept-malformed",
+             "distances-malformed", "plan-malformed"],
     )
     def test_a_folder_or_non_utf8_file_is_an_input_error(self, capsys, tmp_path, argv):
         folder = tmp_path / "d.json"
         folder.mkdir()
         latin1 = tmp_path / "latin1.json"
         latin1.write_bytes('{"primary": [], "note": "crème"}'.encode("latin-1"))
+        malformed = tmp_path / "malformed.json"
+        malformed.write_text('{"tuples": [', encoding="utf-8")
         code, report = run_json(
-            capsys, *(a.format(folder=folder, latin1=latin1) for a in argv)
+            capsys,
+            *(a.format(folder=folder, latin1=latin1, malformed=malformed) for a in argv),
         )
         assert code == 2
         assert report["status"] == "error"
+
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"tuples": [', '{"note": "crème"}'.encode("latin-1")],
+        ids=["malformed", "latin1"],
+    )
+    def test_each_side_file_reader_names_the_file(self, capsys, tmp_path, content):
+        side = tmp_path / "side.json"
+        side.write_bytes(content)
+        for argv in (
+            ["roles", str(side)],
+            ["accept", "spaghetti-pasata", "--accept-file", str(side)],
+            ["plan", "spaghetti-pasata", "--missing", "c0", "--distances-file", str(side)],
+            ["rewrite-seq", "hummus", str(side)],
+        ):
+            code, report = run_json(capsys, *argv)
+            assert code == 2, argv
+            assert report["status"] == "error"
+            (diagnostic,) = report["diagnostics"]
+            assert diagnostic.startswith(f"{side}: not valid UTF-8 JSON"), argv
 
 
 class TestExportDot:

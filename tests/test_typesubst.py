@@ -9,7 +9,7 @@ import pytest
 from oracles import brute_preferred
 from recgen import SYNTH, random_recipe
 from recipegraph import typesubst
-from recipegraph.acceptability import accept_set, arc_triples, check_acceptable
+from recipegraph.acceptability import AcceptTuple, accept_set, arc_triples, check_acceptable
 from recipegraph.compare import _Budget
 from recipegraph.core import roles
 from recipegraph.errors import (
@@ -298,6 +298,48 @@ class TestPreferredPair:
         assert got == pytest.approx(expected[0])
         assert sorted(dict(pair.primary).items()) == expected[1]
         assert sorted(dict(pair.secondary).items()) == expected[2]
+
+
+class TestNothingUnavailable:
+    """With no unavailable node the pair is the cheapest repair of the recipe as it is."""
+
+    @pytest.mark.parametrize("aggregation", ["sum", "max"])
+    def test_the_pair_is_the_cheapest_secondary_set(self, corpus, hierarchies, aggregation):
+        model = CostModel(distances=corpus.distances, aggregation=aggregation)
+        budget = 10_000
+        kinds = set()
+        for rid in corpus.recipe_ids():
+            recipe = corpus.recipe(rid)
+            used = {
+                AcceptTuple(*(recipe.type_of(n) for n in triple))
+                for triple in arc_triples(recipe)
+            }
+            # drop one licensing tuple, so the recipe itself needs a repair
+            for dropped in sorted(used & corpus.acceptability.tuples, key=AcceptTuple.as_list):
+                accepts = accept_set(corpus.acceptability.tuples - {dropped})
+                repairs = _outcome(
+                    lambda: find_secondary(recipe, {}, accepts, hierarchies, None, model, budget)
+                )
+                pair = _outcome(
+                    lambda: preferred_pair(recipe, [], accepts, model, hierarchies, budget=budget)
+                )
+                if isinstance(repairs, list):
+                    assert pair == SubstitutionPair.of({}, repairs[0])
+                else:
+                    assert pair == (None if repairs == "NoSolutionError" else repairs)
+                kinds.add(pair if isinstance(pair, str) else type(pair).__name__)
+        assert kinds == {"SubstitutionPair", "BudgetExceededError"}
+
+    def test_no_repair_is_none(self, corpus, hierarchies):
+        recipe = corpus.recipe("fresh-spaghetti")
+        tuples = accept_set(
+            [("dried spaghetti", "boil spaghetti for 11 minutes", "cooked spaghetti")]
+        )
+        candidates = {"a1": ["boil"], "c2": ["soup"]}
+        model = CostModel(distances=corpus.distances)
+        with pytest.raises(NoSolutionError):
+            find_secondary(recipe, {}, tuples, hierarchies, candidates)
+        assert preferred_pair(recipe, [], tuples, model, hierarchies, candidates) is None
 
 
 class TestDefaultCandidates:
