@@ -9,11 +9,13 @@
 
 The bijection searches (isomorphic, equivalent, more specific) restrict every
 node to its exact upstream and downstream unfolding class and grow the
-mapping along arcs, VF2-style (Cordella et al., TPAMI 2004), backtracking on
-an explicit stack. Finer-grained is closed-form unless the inputs and outputs
-are pinned; then it backtracks in sorted order. Every search is made total by
-an expansion budget: exceeding it raises BudgetExceededError, which is
-distinct from a definite negative answer.
+mapping along arcs, VF2-style (Cordella et al., TPAMI 2004). Finer-grained is
+closed-form unless the inputs and outputs are pinned; then it backtracks in
+sorted order. These searches, and those of the planner and of rewriting, run
+on one depth-first kernel, ``_depth_first``, whose stack is explicit, so none
+of them recurses. Each comparison search is made total by an expansion
+budget: exceeding it raises BudgetExceededError, which is distinct from a
+definite negative answer.
 """
 
 from __future__ import annotations
@@ -71,31 +73,28 @@ class _Budget:
             raise BudgetExceededError(self.limit)
 
 
-def _backtrack(levels: int, candidates, accept, undo, budget: _Budget) -> bool:
-    """Depth-first search over ``levels`` choices, on an explicit stack.
+def _depth_first(levels: int, choices):
+    """Depth-first search over ``levels`` choices, on one explicit stack.
 
-    ``candidates(i)`` lists the options of level ``i`` once the levels before
-    it are chosen, ``accept(i, m)`` records option ``m`` if it fits and says
-    whether it did, and ``undo(i)`` forgets level ``i``'s choice. Options are
-    tried in the order listed; each one tried costs one expansion.
+    ``choices(i)`` is a generator over the options of level ``i`` once the
+    levels before it are chosen: it yields once for each option that fits,
+    with that option applied, and undoes it when resumed. Yields each time
+    every level is chosen; resuming it goes on to the next completion. No
+    level (``levels <= 0``) is one empty completion.
     """
-    stack = [iter(candidates(0))] if levels else []
-    chosen = 0
-    while chosen < levels:
-        for m in stack[-1]:
-            budget.spend()
-            if accept(chosen, m):
-                chosen += 1
-                if chosen < levels:
-                    stack.append(iter(candidates(chosen)))
+    if levels <= 0:
+        yield
+        return
+    stack = [choices(0)]
+    while stack:
+        for _ in stack[-1]:
+            if len(stack) == levels:
+                yield
+            else:
+                stack.append(choices(len(stack)))
                 break
         else:
             stack.pop()
-            if not stack:
-                return False
-            chosen -= 1
-            undo(chosen)
-    return True
 
 
 def _classes(recipe: Recipe, typed: bool, intern: dict) -> dict[str, tuple[int, int]]:
@@ -133,7 +132,7 @@ def _classes(recipe: Recipe, typed: bool, intern: dict) -> dict[str, tuple[int, 
 
 def _match_bijection(
     r1: Recipe, r2: Recipe, budget: _Budget, label_ok=None, typed: bool = False
-) -> dict[str, str] | None:
+) -> NodeBijection | None:
     """Search for an arc- and kind-preserving bijection.
 
     A node may only map into its class: its upstream and downstream unfolding
@@ -185,50 +184,43 @@ def _match_bijection(
     inverse: dict[str, str] = {}
     arcs1, arcs2 = g1.arcs, g2.arcs
 
-    def candidates(i: int) -> list[str]:
+    def choices(i: int):
         n, anchor, side = order[i]
         if anchor is None:
             found = pool[cls1[n]]
         else:
             near = (succ2, pred2)[side].get(mapping[anchor], ())
             found = sorted(m for m in near if cls2[m] == cls1[n])
-        return [m for m in found if m not in inverse and (label_ok is None or label_ok(n, m))]
+        for m in found:
+            if m in inverse or (label_ok is not None and not label_ok(n, m)):
+                continue
+            budget.spend()
+            # arcs between n and the mapped nodes must match arcs of m, both ways
+            if (
+                any(p in mapping and (mapping[p], m) not in arcs2 for p in pred1.get(n, ()))
+                or any(s in mapping and (m, mapping[s]) not in arcs2 for s in succ1.get(n, ()))
+                or any(p in inverse and (inverse[p], n) not in arcs1 for p in pred2.get(m, ()))
+                or any(s in inverse and (n, inverse[s]) not in arcs1 for s in succ2.get(m, ()))
+            ):
+                continue
+            mapping[n] = m
+            inverse[m] = n
+            yield
+            del mapping[n], inverse[m]
 
-    def accept(i: int, m: str) -> bool:
-        n = order[i][0]
-        # arcs between n and the mapped nodes must match arcs of m, both ways
-        if any(p in mapping and (mapping[p], m) not in arcs2 for p in pred1.get(n, ())):
-            return False
-        if any(s in mapping and (m, mapping[s]) not in arcs2 for s in succ1.get(n, ())):
-            return False
-        if any(p in inverse and (inverse[p], n) not in arcs1 for p in pred2.get(m, ())):
-            return False
-        if any(s in inverse and (n, inverse[s]) not in arcs1 for s in succ2.get(m, ())):
-            return False
-        mapping[n] = m
-        inverse[m] = n
-        return True
-
-    def undo(i: int):
-        del inverse[mapping.pop(order[i][0])]
-
-    return mapping if _backtrack(len(order), candidates, accept, undo, budget) else None
+    for _ in _depth_first(len(order), choices):
+        return NodeBijection(tuple(sorted(mapping.items())))
+    return None
 
 
 def isomorphic(r1: Recipe, r2: Recipe, budget: int = DEFAULT_BUDGET) -> NodeBijection | None:
     """Kind- and arc-preserving bijection between the two graphs, or None."""
-    found = _match_bijection(r1, r2, _Budget(budget))
-    if found is None:
-        return None
-    return NodeBijection(tuple(sorted(found.items())))
+    return _match_bijection(r1, r2, _Budget(budget))
 
 
 def equivalent(r1: Recipe, r2: Recipe, budget: int = DEFAULT_BUDGET) -> NodeBijection | None:
     """Isomorphism whose bijection preserves every node's type, or None."""
-    found = _match_bijection(r1, r2, _Budget(budget), typed=True)
-    if found is None:
-        return None
-    return NodeBijection(tuple(sorted(found.items())))
+    return _match_bijection(r1, r2, _Budget(budget), typed=True)
 
 
 def more_specific(
@@ -247,10 +239,7 @@ def more_specific(
         h = hierarchies.for_kind(r1.graph.kind_of(n))
         return h.is_subtype(r1.type_of(n), r2.type_of(m))
 
-    found = _match_bijection(r1, r2, _Budget(budget), label_ok)
-    if found is None:
-        return None
-    return NodeBijection(tuple(sorted(found.items())))
+    return _match_bijection(r1, r2, _Budget(budget), label_ok)
 
 
 def is_subrecipe(r_small: Recipe, r_big: Recipe) -> bool:
@@ -319,21 +308,23 @@ def finer_grained(
     order = sorted(n1, key=lambda n: (n not in pinned, n))
     mapping: dict[str, str] = {}
 
-    def accept(i: int, m: str) -> bool:
+    def choices(i: int):
         # the path order as reach sets, which each recipe caches
         n = order[i]
-        after_n, after_m = r1.reachable_from(n), r2.reachable_from(m)
-        for n_prev, m_prev in mapping.items():
-            if n_prev in after_n and m_prev not in after_m:
-                return False
-            if n in r1.reachable_from(n_prev) and m not in r2.reachable_from(m_prev):
-                return False
-        mapping[n] = m
-        return True
+        after_n = r1.reachable_from(n)
+        for m in [n] if n in pinned else n2:
+            b.spend()
+            after_m = r2.reachable_from(m)
+            if any(
+                (n_prev in after_n and m_prev not in after_m)
+                or (n in r1.reachable_from(n_prev) and m not in r2.reachable_from(m_prev))
+                for n_prev, m_prev in mapping.items()
+            ):
+                continue
+            mapping[n] = m
+            yield
+            del mapping[n]
 
-    def candidates(i: int) -> list[str]:
-        return [order[i]] if order[i] in pinned else n2
-
-    if not _backtrack(len(order), candidates, accept, lambda i: mapping.pop(order[i]), b):
-        return None
-    return OrderMap(tuple(sorted(mapping.items())))
+    for _ in _depth_first(len(order), choices):
+        return OrderMap(tuple(sorted(mapping.items())))
+    return None

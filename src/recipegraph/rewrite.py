@@ -17,13 +17,14 @@ A failed substitution is a value (RewriteFailure), not an exception.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace as _dc_replace
 from typing import Sequence
 
 from .acceptability import AcceptabilitySet, check_acceptable
 from .core import Recipe, Violation, build_recipe, roles
 from .errors import InvalidRecipeError, NotSubrecipeError, RewriteFailureError
-from .compare import _Budget, is_subrecipe
+from .compare import _Budget, _depth_first, is_subrecipe
 from .typekb import DistanceModel, Hierarchies
 
 
@@ -253,28 +254,37 @@ def search_secondary_steps(
     Tries every sequence of up to ``max_steps`` library steps after the
     primary sequence and returns those whose result is acceptable, shortest
     first. Only user-supplied steps are considered; there is no synthesis of
-    replacement subrecipes from scratch.
+    replacement subrecipes from scratch. A ``max_steps`` of zero or less
+    tries only the empty sequence.
     """
     after_primary = apply_sequence(host, primary, hierarchies)
     if isinstance(after_primary, RewriteFailure):
         raise RewriteFailureError(after_primary)
 
-    found: list[tuple[RewriteStep, ...]] = []
     b = _Budget(budget)
+    found: list[tuple[RewriteStep, ...]] = []
+    if not check_acceptable(after_primary, accepts, hierarchies):
+        found.append(())
+    # the recipe after the first i chosen steps, and those steps
+    current: list[Recipe] = [after_primary]
+    chosen: list[RewriteStep] = []
 
-    def extend(current: Recipe, chosen: tuple[RewriteStep, ...]):
-        if not check_acceptable(current, accepts, hierarchies):
-            found.append(chosen)
-        if len(chosen) == max_steps:
-            return
+    def choices(i: int):
         for step in library:
             b.spend()
-            result = structural_substitute(current, step.remove, step.insert, hierarchies)
+            result = structural_substitute(current[i], step.remove, step.insert, hierarchies)
             if isinstance(result, RewriteFailure):
                 continue
-            extend(result, chosen + (step,))
+            current.append(result)
+            chosen.append(step)
+            if not check_acceptable(result, accepts, hierarchies):
+                found.append(tuple(chosen))
+            yield
+            current.pop()
+            chosen.pop()
 
-    extend(after_primary, ())
+    for _ in _depth_first(max_steps, choices):
+        pass
     found.sort(key=lambda seq: (len(seq), [str(s) for s in seq]))
     return found
 
@@ -322,7 +332,6 @@ def structural_cost(
         model = StructuralCostModel()
     w = model.edit_weight
     arcs1, arcs2 = r1.graph.arcs, r2.graph.arcs
-    n_arcs = len(arcs1) + len(arcs2)
     max_carried = min(len(arcs1), len(arcs2))
 
     # one entry per node of r1: (node, kind, partners by cost, cheapest cost)
@@ -346,6 +355,7 @@ def structural_cost(
     tail = [0.0] * (len(order) + 1)
     for i in range(len(order) - 1, -1, -1):
         tail[i] = tail[i + 1] + order[i][3]
+    edits = unmatched + len(arcs1) + len(arcs2)  # before carried arcs are taken off
     # arcs of r1 are decided by their later endpoint in ``order``
     position = {n: i for i, (n, *_) in enumerate(order)}
     closing: list[list[tuple[str, str]]] = [[] for _ in order]
@@ -355,53 +365,45 @@ def structural_cost(
     mapping: dict[str, str] = {}
     used: set[str] = set()
     skipped = dict.fromkeys(excess, 0)
-    best: float | None = None
+    # (label cost, arcs carried, arcs open, bound) before node i is decided
+    state = [(0.0, 0, len(arcs1), tail[0] + w * (edits - 2 * max_carried))]
+    best = math.inf
 
-    def choices(i: int, spent: float, carried: int, open_: int):
-        """Decide node ``i`` each possible way, yielding the state after each.
-
-        A choice stays applied while the search below it runs and is undone
-        when the next one is asked for.
-        """
+    def choices(i: int):
+        """Decide node ``i`` each way whose bound stays below the best total."""
+        spent, carried, open_, _ = state[i]
         n, kind, partners, _ = order[i]
         arcs_here = closing[i]
         open_ -= len(arcs_here)
+        rest = tail[i + 1]
         if skipped[kind] < excess[kind]:
             # n may stay unmatched while r1 has spare nodes of its kind
-            skipped[kind] += 1
-            yield spent, carried, open_
-            skipped[kind] -= 1
+            bound = spent + rest + w * (edits - 2 * min(max_carried, carried + open_))
+            if bound < best:
+                skipped[kind] += 1
+                state.append((spent, carried, open_, bound))
+                yield
+                state.pop()
+                skipped[kind] -= 1
         for d, m in partners:
             if m in used:
                 continue
             mapping[n] = m
-            used.add(m)
-            kept = sum(
+            kept = carried + sum(
                 1
                 for s, t in arcs_here
                 if s in mapping and t in mapping and (mapping[s], mapping[t]) in arcs2
             )
-            yield spent + d, carried + kept, open_
-            used.discard(m)
+            spent_m = spent + d
+            bound = spent_m + rest + w * (edits - 2 * min(max_carried, kept + open_))
+            if bound < best:
+                used.add(m)
+                state.append((spent_m, kept, open_, bound))
+                yield
+                state.pop()
+                used.discard(m)
             del mapping[n]
 
-    # depth-first on an explicit stack; a state taken from stack[i] is the
-    # one before node i is decided
-    stack = [iter([(0.0, 0, len(arcs1))])]
-    while stack:
-        i = len(stack) - 1
-        for spent, carried, open_ in stack[-1]:
-            bound = spent + tail[i] + w * (
-                unmatched + n_arcs - 2 * min(max_carried, carried + open_)
-            )
-            if best is not None and bound >= best:
-                continue
-            if i == len(order):
-                best = bound  # every arc is decided: the bound is the total
-                continue
-            stack.append(choices(i, spent, carried, open_))
-            break
-        else:
-            stack.pop()
-    assert best is not None
+    for _ in _depth_first(len(order), choices):
+        best = state[-1][3]  # every arc is decided: the bound is the total
     return best

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .acceptability import AcceptabilitySet, _Licences, arc_triples
-from .compare import DEFAULT_BUDGET, NodeBijection, _Budget, isomorphic
+from .compare import DEFAULT_BUDGET, NodeBijection, _Budget, _depth_first, isomorphic
 from .core import Recipe, make_recipe, typing_violations
 from .errors import (
     NoSolutionError,
@@ -486,32 +486,31 @@ def preferred_pair(
 
     best_key: tuple[float, list, list] | None = None
     best_pair: SubstitutionPair | None = None
+    partial: dict[str, str] = {}
+    spent = [0.0]  # distance of the first i primary bindings
 
-    def walk(i: int, partial: dict[str, str], spent: float):
-        nonlocal best_key, best_pair
-        bound = agg(spent, min_tail[i])
-        if best_key is not None and bound > best_key[0]:
-            return
-        if i == len(order):
-            try:
-                repairs = _minimal_repairs(
-                    recipe, dict(partial), accepts, hierarchies, candidates, b
-                )
-            except NoSolutionError:
-                return
-            secondary = min(repairs, key=_by_cost(recipe, model, hierarchies))
-            total = agg(spent, cost(secondary, recipe, model, hierarchies))
-            key = (total, sorted(partial.items()), sorted(secondary.items()))
-            if best_key is None or key < best_key:
-                best_key = key
-                best_pair = SubstitutionPair.of(dict(partial), secondary)
-            return
+    def choices(i: int):
         n = order[i]
         for d, t in pools[i]:
             b.spend()
+            now = agg(spent[i], d)
+            if best_key is not None and agg(now, min_tail[i + 1]) > best_key[0]:
+                continue
             partial[n] = t
-            walk(i + 1, partial, agg(spent, d))
+            spent.append(now)
+            yield
+            spent.pop()
             del partial[n]
 
-    walk(0, {}, 0.0)
+    for _ in _depth_first(len(order), choices):
+        try:
+            repairs = _minimal_repairs(recipe, dict(partial), accepts, hierarchies, candidates, b)
+        except NoSolutionError:
+            continue
+        secondary = min(repairs, key=_by_cost(recipe, model, hierarchies))
+        total = agg(spent[-1], cost(secondary, recipe, model, hierarchies))
+        key = (total, sorted(partial.items()), sorted(secondary.items()))
+        if best_key is None or key < best_key:
+            best_key = key
+            best_pair = SubstitutionPair.of(dict(partial), secondary)
     return best_pair

@@ -229,3 +229,52 @@ def break_condition_5(rng: Random, recipe: Recipe) -> RecipeGraph | None:
         return None
     a, c = rng.choice(options)
     return recipe_graph(g.comestibles, g.actions, g.arcs | {(a, c)})
+
+
+def fry_chain_doc(actions: int) -> dict:
+    """Bundle holding ``long``: a chain of ``actions`` actions, every one a fry.
+
+    Actions are typed under ``act -> heat -> fry`` (plus ``cut``), the
+    ``actions + 1`` comestibles with distinct leaves of a flat hierarchy. The
+    tuples license every arc triple with ``cut`` as its action, so replacing
+    the fries means searching over every action node at once.
+    """
+    coms = [f"c{i:04d}" for i in range(actions + 1)]
+    acts = [f"a{i:04d}" for i in range(actions)]
+    leaves = [f"ing{i}" for i in range(actions + 1)]
+    return {
+        "hierarchies": {
+            "action": {
+                "kind": "action",
+                "root": "act",
+                "types": [
+                    {"id": "act", "parents": []},
+                    {"id": "heat", "parents": ["act"]},
+                    {"id": "fry", "parents": ["heat"]},
+                    {"id": "cut", "parents": ["act"]},
+                ],
+            },
+            "comestible": {
+                "kind": "comestible",
+                "root": "com",
+                "types": [{"id": "com", "parents": []}]
+                + [{"id": t, "parents": ["com"]} for t in leaves],
+            },
+        },
+        "nodes": dict.fromkeys(coms, "comestible") | dict.fromkeys(acts, "action"),
+        "recipes": [
+            {
+                "id": "long",
+                "comestibles": coms,
+                "actions": acts,
+                "arcs": [*map(list, zip(coms, acts)), *map(list, zip(acts, coms[1:]))],
+                "typing": dict(zip(coms, leaves)) | dict.fromkeys(acts, "fry"),
+            }
+        ],
+        "acceptability": {
+            "tuples": [[leaves[i], "cut", leaves[i + 1]] for i in range(actions)],
+            "policy": "exact",
+            "depth_limit": 1,
+        },
+        "distances": {"pairs": [], "generalization_penalty": 2.0, "step_cost": 1.0},
+    }

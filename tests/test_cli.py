@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from recgen import fry_chain_doc
 from recipegraph.bundle import load_corpus, serialize_bundle
 from recipegraph.cli import build_parser, run
 
@@ -252,6 +253,17 @@ class TestAcceptAndPlan:
         assert code == 2
         assert report["status"] == "error"
         assert "--budget" in report["diagnostics"][0]
+
+
+class TestLongChains:
+    def test_plan_on_an_1100_action_chain_exits_with_a_budget_out(self, capsys, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(fry_chain_doc(1100)))
+        code, report = run_json(
+            capsys, "plan", "-b", str(path), "long", "--missing", "fry", "--budget", "5000"
+        )
+        assert code == 3
+        assert report["status"] == "budget"
 
 
 class TestRewriteCommands:

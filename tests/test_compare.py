@@ -6,6 +6,7 @@ import pytest
 
 import recgen
 from oracles import brute_isomorphisms
+from recipegraph import compare
 from recipegraph.compare import (
     NodeBijection,
     OrderMap,
@@ -471,6 +472,43 @@ class TestFinerGrainedMatchesReference:
                     assert fast == slow
                     outcomes.add(fast if fast in (None, "budget") else "witness")
         assert outcomes == {None, "budget", "witness"}
+
+
+class TestSearchExpansionsArePinned:
+    """Expansions each search spends over every ordered corpus pair, and its witnesses.
+
+    The reference tests above compare answers only; these totals also pin
+    where each search charges its budget.
+    """
+
+    def test_every_ordered_corpus_pair(self, corpus, hierarchies, monkeypatch):
+        class Counting(_Budget):
+            spent = 0
+
+            def spend(self, n: int = 1):
+                Counting.spent += n
+                super().spend(n)
+
+        monkeypatch.setattr(compare, "_Budget", Counting)
+        recipes = [corpus.recipe(rid) for rid in corpus.recipe_ids()]
+        searches = {
+            "isomorphic": isomorphic,
+            "equivalent": equivalent,
+            "more_specific": lambda r1, r2: more_specific(r1, r2, hierarchies),
+            "finer_grained_fix_io": lambda r1, r2: finer_grained(r1, r2, fix_io=True),
+        }
+        totals = {}
+        for name, search in searches.items():
+            Counting.spent = 0
+            witnesses = sum(search(r1, r2) is not None for r1 in recipes for r2 in recipes)
+            totals[name] = (Counting.spent, witnesses)
+        assert len(recipes) ** 2 == 729
+        assert totals == {
+            "isomorphic": (734, 223),
+            "equivalent": (136, 29),
+            "more_specific": (142, 31),
+            "finer_grained_fix_io": (184, 32),
+        }
 
 
 class TestFinerGrainedClosedForm:

@@ -320,6 +320,27 @@ class TestSequences:
         )
         assert found == [(library[0],)]
 
+    def test_1500_steps_deep_the_library_search_does_not_recurse(self, corpus, hummus_parts):
+        host, prep, _ = hummus_parts
+        shortcut = corpus.recipe("hummus-canned-shortcut")
+        library = [RewriteStep(prep, shortcut), RewriteStep(shortcut, prep)]
+        found = search_secondary_steps(
+            host, [], library, corpus.acceptability, corpus.hierarchies,
+            max_steps=1500, budget=4000,
+        )
+        assert found == []
+
+    @pytest.mark.parametrize("max_steps", [0, -1])
+    def test_no_steps_tries_only_the_empty_sequence(self, corpus, hummus_parts, max_steps):
+        host, prep, _ = hummus_parts
+        shortcut = corpus.recipe("hummus-canned-shortcut")
+        library = [RewriteStep(prep, shortcut), RewriteStep(shortcut, prep)]
+        found = search_secondary_steps(
+            host, [], library, corpus.acceptability, corpus.hierarchies,
+            max_steps=max_steps, budget=1,
+        )
+        assert found == []
+
 
 class TestStructuralCost:
     def test_identical_recipes_cost_nothing(self, corpus):

@@ -2,14 +2,16 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 from random import Random
 
 import pytest
 
 from oracles import brute_preferred
-from recgen import SYNTH, random_recipe
+from recgen import SYNTH, fry_chain_doc, random_recipe
 from recipegraph import typesubst
 from recipegraph.acceptability import AcceptTuple, accept_set, arc_triples, check_acceptable
+from recipegraph.bundle import parse_bundle
 from recipegraph.compare import _Budget
 from recipegraph.core import roles
 from recipegraph.errors import (
@@ -340,6 +342,16 @@ class TestNothingUnavailable:
         with pytest.raises(NoSolutionError):
             find_secondary(recipe, {}, tuples, hierarchies, candidates)
         assert preferred_pair(recipe, [], tuples, model, hierarchies, candidates) is None
+
+
+class TestLongChains:
+    def test_replacing_1100_fries_runs_out_of_budget_without_recursing(self):
+        ws = parse_bundle(json.dumps(fry_chain_doc(1100)))
+        model = CostModel(distances=ws.distances)
+        with pytest.raises(BudgetExceededError):
+            preferred_pair(
+                ws.recipe("long"), ["fry"], ws.acceptability, model, ws.hierarchies, budget=5000
+            )
 
 
 class TestDefaultCandidates:
