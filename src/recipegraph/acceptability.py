@@ -101,7 +101,7 @@ def load_acceptability(doc, hierarchies: Hierarchies) -> AcceptabilitySet:
     if policy not in POLICIES:
         raise SchemaError("acceptability.policy", f"expected one of {POLICIES}")
     depth = doc.get("depth_limit", 1)
-    if not isinstance(depth, int) or depth < 0:
+    if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
         raise SchemaError("acceptability.depth_limit", "expected a non-negative integer")
     return accept_set(tuples, policy=policy, depth_limit=depth)
 

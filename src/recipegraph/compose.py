@@ -17,36 +17,27 @@ a well-formed negative answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core import (
+    OperationFailure,
     Recipe,
     RecipeGraph,
     Violation,
-    build_recipe,
+    assemble,
     make_recipe,
     recipe_graph,
     roles,
 )
-from .errors import ClosureLimitError, InvalidRecipeError, KindConflictError
+from .errors import ClosureLimitError, KindConflictError
 from .typekb import Hierarchies
 
 
 @dataclass(frozen=True)
-class CompositionFailure:
+class CompositionFailure(OperationFailure):
     """Evidence for every violated composition condition. Falsy on purpose."""
 
-    violations: tuple[Violation, ...]
-
-    @property
-    def conditions(self) -> frozenset[str]:
-        return frozenset(v.condition for v in self.violations)
-
-    def __bool__(self) -> bool:
-        return False
-
-    def __str__(self) -> str:
-        return "composition failed: " + "; ".join(str(v) for v in self.violations)
+    operation = "composition"
 
 
 def bipartite_union(g1: RecipeGraph, g2: RecipeGraph) -> RecipeGraph:
@@ -59,7 +50,7 @@ def bipartite_union(g1: RecipeGraph, g2: RecipeGraph) -> RecipeGraph:
     conflict = (g1.comestibles & g2.actions) | (g2.comestibles & g1.actions)
     if conflict:
         raise KindConflictError(tuple(conflict))
-    return recipe_graph(
+    return RecipeGraph(
         g1.comestibles | g2.comestibles,
         g1.actions | g2.actions,
         g1.arcs | g2.arcs,
@@ -79,12 +70,7 @@ def compose(
     only checked once the six conditions pass, and is reported as condition
     "typing" since no consistent combined typing exists.
     """
-    conflict = (r1.graph.comestibles & r2.graph.actions) | (
-        r2.graph.comestibles & r1.graph.actions
-    )
-    if conflict:
-        raise KindConflictError(tuple(conflict))
-
+    union = bipartite_union(r1.graph, r2.graph)
     roles1, roles2 = roles(r1), roles(r2)
     coms1, coms2 = r1.graph.comestibles, r2.graph.comestibles
     glue = roles1.outputs & roles2.inputs
@@ -158,21 +144,8 @@ def compose(
 
     # The six conditions do not rule out every degenerate node sharing (e.g. a
     # comestible that is an output of the first recipe and an intermediate of
-    # the second ends up with two producers), so the assembly is re-validated;
-    # such failures are reported as condition "result" to keep the labels
-    # "1".."6" unambiguous.
-    try:
-        return build_recipe(
-            coms1 | coms2,
-            r1.graph.actions | r2.graph.actions,
-            r1.graph.arcs | r2.graph.arcs,
-            {**r1.typing, **r2.typing},
-            hierarchies,
-        )
-    except InvalidRecipeError as exc:
-        return CompositionFailure(
-            tuple(replace(v, condition="result") for v in exc.violations)
-        )
+    # the second ends up with two producers), so the union is re-validated.
+    return assemble(union, {**r1.typing, **r2.typing}, hierarchies, CompositionFailure)
 
 
 def compose_closure(

@@ -19,9 +19,9 @@ node sets, arcs, and typing.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import ClassVar, Iterable, Mapping, TypeVar
 
 from .errors import InvalidRecipeError, UnknownNodeError
 from .typekb import Hierarchies, bfs, find_cycle
@@ -54,6 +54,35 @@ class Violation:
         if self.types:
             parts.append("types " + ", ".join(self.types))
         return " | ".join(parts)
+
+
+@dataclass(frozen=True)
+class OperationFailure:
+    """Evidence for every violated condition of the operator named ``operation``.
+
+    A failed composition or structural substitution is a well-formed negative
+    answer, not an exception, so the value is falsy on purpose.
+    """
+
+    violations: tuple[Violation, ...]
+    operation: ClassVar[str] = "operation"
+
+    @property
+    def conditions(self) -> frozenset[str]:
+        return frozenset(v.condition for v in self.violations)
+
+    def __bool__(self) -> bool:
+        return False
+
+    def _where(self) -> str:
+        return ""
+
+    def __str__(self) -> str:
+        joined = "; ".join(str(v) for v in self.violations)
+        return f"{self.operation} failed{self._where()}: {joined}"
+
+
+_Failure = TypeVar("_Failure", bound=OperationFailure)
 
 
 @dataclass(frozen=True)
@@ -342,6 +371,23 @@ def build_recipe(
     if graph_violations:
         raise InvalidRecipeError(graph_violations)
     return make_recipe(graph, typing, hierarchies)
+
+
+def assemble(
+    graph: RecipeGraph, typing: Mapping[str, str], hierarchies: Hierarchies, failure: type[_Failure]
+) -> Recipe | _Failure:
+    """The recipe an operator glued together, or ``failure`` with what breaks it.
+
+    The operator's own conditions can hold while the assembly still breaks a
+    rule of recipes; each such violation is reported as condition "result".
+    """
+    violations = validate_recipe_graph(graph)
+    if not violations:
+        try:
+            return make_recipe(graph, typing, hierarchies)
+        except InvalidRecipeError as exc:
+            violations = exc.violations
+    return failure(tuple(replace(v, condition="result") for v in violations))
 
 
 def roles(recipe: Recipe | RecipeGraph) -> RoleSets:

@@ -18,12 +18,12 @@ A failed substitution is a value (RewriteFailure), not an exception.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace as _dc_replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .acceptability import AcceptabilitySet, check_acceptable
-from .core import Recipe, Violation, build_recipe, roles
-from .errors import InvalidRecipeError, NotSubrecipeError, RewriteFailureError
+from .core import OperationFailure, Recipe, Violation, assemble, recipe_graph, roles
+from .errors import NotSubrecipeError, RewriteFailureError
 from .compare import _Budget, _depth_first, is_subrecipe
 from .typekb import DistanceModel, Hierarchies
 
@@ -37,30 +37,17 @@ class RewriteStep:
 
 
 @dataclass(frozen=True)
-class RewriteFailure:
+class RewriteFailure(OperationFailure):
     """Evidence for every violated side condition. Falsy on purpose.
 
     ``step`` is set when the failure happened inside a sequence.
     """
 
-    violations: tuple[Violation, ...]
     step: int | None = None
+    operation = "structural substitution"
 
-    @property
-    def conditions(self) -> frozenset[str]:
-        return frozenset(v.condition for v in self.violations)
-
-    def __bool__(self) -> bool:
-        return False
-
-    def with_step(self, index: int) -> "RewriteFailure":
-        return _dc_replace(self, step=index)
-
-    def __str__(self) -> str:
-        where = f" at step {self.step}" if self.step is not None else ""
-        return f"structural substitution failed{where}: " + "; ".join(
-            str(v) for v in self.violations
-        )
+    def _where(self) -> str:
+        return f" at step {self.step}" if self.step is not None else ""
 
 
 def front(host: Recipe, part: Recipe) -> frozenset[str]:
@@ -183,19 +170,15 @@ def structural_substitute(
     if violations:
         return RewriteFailure(tuple(violations))
 
-    comestibles = (host.graph.comestibles - part.graph.comestibles) | replacement.graph.comestibles
-    actions = (host.graph.actions - part.graph.actions) | replacement.graph.actions
-    arcs = (host.graph.arcs - part.graph.arcs) | replacement.graph.arcs
+    graph = recipe_graph(
+        (host.graph.comestibles - part.graph.comestibles) | replacement.graph.comestibles,
+        (host.graph.actions - part.graph.actions) | replacement.graph.actions,
+        (host.graph.arcs - part.graph.arcs) | replacement.graph.arcs,
+    )
     typing = {n: host.type_of(n) for n in kept} | replacement.typing
-
     # conditions i-v can hold while the assembly still breaks a structural
     # rule, e.g. when the part swallows a comestible the kept actions use
-    try:
-        return build_recipe(comestibles, actions, arcs, typing, hierarchies)
-    except InvalidRecipeError as exc:
-        return RewriteFailure(
-            tuple(_dc_replace(v, condition="result") for v in exc.violations)
-        )
+    return assemble(graph, typing, hierarchies, RewriteFailure)
 
 
 def apply_sequence(
@@ -215,7 +198,7 @@ def apply_sequence(
             current, step.remove, step.insert, hierarchies, allow_empty_front
         )
         if isinstance(result, RewriteFailure):
-            return result.with_step(i)
+            return replace(result, step=i)
         current = result
     return current
 

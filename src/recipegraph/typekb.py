@@ -185,7 +185,7 @@ def load_hierarchy(doc: Mapping) -> TypeHierarchy:
     The document is ``{"kind", "root", "types": [{"id", "parents", "aliases"}]}``.
     Raises CycleDetectedError, MultipleRootsError, NoRootError,
     DanglingEdgeError, or DuplicateAliasError when the invariants fail, and
-    SchemaError when the document shape itself is wrong.
+    SchemaError when the document shape is wrong or a type id repeats.
     """
     if not isinstance(doc, Mapping):
         raise SchemaError("hierarchy", "expected an object")
@@ -209,7 +209,7 @@ def load_hierarchy(doc: Mapping) -> TypeHierarchy:
         if not isinstance(tid, str) or not tid:
             raise SchemaError(f"{path}.id", "expected a non-empty string")
         if tid in parents:
-            raise DuplicateAliasError(tid, (tid, tid))
+            raise SchemaError(f"{path}.id", f"duplicate type id {tid!r}")
         ps = entry.get("parents", [])
         if not isinstance(ps, list) or not all(isinstance(p, str) for p in ps):
             raise SchemaError(f"{path}.parents", "expected a list of strings")

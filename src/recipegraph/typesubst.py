@@ -233,18 +233,19 @@ class _RepairChecker:
     ) -> Iterator[dict[str, str]]:
         """Every acceptable choice of one candidate per node of ``domain``, in order.
 
-        A candidate is dropped when it names no type of the node's kind, makes
-        the node comparable to a comestible outside the domain, or completes
-        an unlicensed triple whose other nodes lie outside the domain. The
-        pools are then pruned to arc consistency (Mackworth 1977) over the
-        triples shared by two or more domain nodes: a candidate goes when
-        no tuple licenses it together with the fixed types and the remaining
-        candidates of that triple's other domain nodes. No assignment that
+        A candidate is dropped when it names no type of the node's kind or
+        makes the node comparable to a comestible outside the domain. The
+        pools are then pruned to arc consistency (Mackworth 1977) over every
+        triple that touches the domain: a candidate goes when no tuple
+        licenses it together with the triple's fixed types and the remaining
+        candidates of its other domain nodes. A triple with one domain node
+        thus drops the candidates it never licenses. No assignment that
         contains a dropped candidate can be acceptable.
 
         The choices come in the order of ``itertools.product`` over the
         candidate lists: the product of the pruned pools, each combination
-        checked on its comestible pairs and shared triples.
+        checked on its comestible pairs and on the triples shared by two or
+        more domain nodes.
         """
         graph, fixed = self._graph, self._types
         outside = [c for c in graph.comestibles if c not in domain]
@@ -252,11 +253,6 @@ class _RepairChecker:
         pools = []
         for n in domain:
             h = self._hierarchies.for_kind(graph.kind_of(n))
-            lone = [
-                triple
-                for triple in self._triples_at.get(n, ())
-                if all(m == n or m not in at for m in triple)
-            ]
             pool = []
             for text in candidates[n]:
                 if text not in h:
@@ -266,43 +262,40 @@ class _RepairChecker:
                     near = self._comparable_to(t)
                     if any(fixed[c] in near for c in outside):
                         continue
-                if all(
-                    self._licences._licensed(tuple(t if m == n else fixed[m] for m in triple))
-                    for triple in lone
-                ):
-                    pool.append((text, t))
+                pool.append((text, t))
             if not pool:
                 return
             pools.append(pool)
 
-        shared = list(
+        touching = list(
             dict.fromkeys(
                 tuple((at[m], None) if m in at else (None, fixed[m]) for m in triple)
                 for n in domain
                 for triple in self._triples_at.get(n, ())
-                if sum(m in at for m in triple) > 1
             )
         )
-        if not self._prune(pools, shared):
+        if not self._prune(pools, touching):
             return
+        shared = [slots for slots in touching if sum(j is not None for j, _ in slots) > 1]
         coms = [i for i, n in enumerate(domain) if n in graph.comestibles]
         for choice in itertools.product(*pools):
             if self._fits([t for _, t in choice], coms, shared):
                 yield {n: text for n, (text, _) in zip(domain, choice)}
 
-    def _prune(self, pools: list[list[tuple[str, str]]], shared: list) -> bool:
+    def _prune(self, pools: list[list[tuple[str, str]]], triples: list) -> bool:
         """Cut ``pools`` in place to arc consistency; False when one runs empty.
 
-        Each triple in ``shared`` gives, for input, action and output, a
-        domain position or None with the fixed type. Every triple is revised
-        until a full round removes nothing, so every type left has support in
-        every triple.
+        Each entry of ``triples`` gives, for input, action and output, a
+        domain position or None with the fixed type; one with a single domain
+        position is a one-node constraint. Every triple is revised until a
+        full round removes nothing, so every type left has support in every
+        triple. The fixpoint does not depend on the order of the revisions.
         """
         sets = [{t for _, t in pool} for pool in pools]
         changed = True
         while changed:
             changed = False
-            for slots in shared:
+            for slots in triples:
                 for j, keep in self._licences._supports(slots, sets).items():
                     if len(keep) < len(sets[j]):
                         if not keep:

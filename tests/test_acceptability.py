@@ -146,6 +146,12 @@ class TestExpandTuples:
         with pytest.raises(SchemaError):
             load_acceptability({"tuples": [], "policy": "psychic"}, hierarchies)
 
+    @pytest.mark.parametrize("depth", [True, False])
+    def test_boolean_depth_limit_in_document(self, hierarchies, depth):
+        with pytest.raises(SchemaError) as err:
+            load_acceptability({"tuples": [], "depth_limit": depth}, hierarchies)
+        assert err.value.path == "acceptability.depth_limit"
+
     def test_bare_triple_list_document(self, hierarchies):
         loaded = load_acceptability([["carrot", "chop", "chopped carrot"]], hierarchies)
         assert AcceptTuple("carrot", "chop", "chopped carrot") in loaded

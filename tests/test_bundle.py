@@ -156,6 +156,15 @@ class TestSchemaChecks:
             parse_bundle(json.dumps(doc))
         assert err.value.path == "bundle.hierarchies.comestible.types[1].aliases"
 
+    def test_duplicate_type_id_is_a_located_schema_error(self):
+        doc = minimal_doc()
+        types = doc["hierarchies"]["comestible"]["types"]
+        types[2] = {"id": types[1]["id"], "parents": ["comestible"]}
+        with pytest.raises(SchemaError) as err:
+            parse_bundle(json.dumps(doc))
+        assert err.value.path == "bundle.hierarchies.comestible.types[2].id"
+        assert err.value.reason == "duplicate type id 'raw onion'"
+
     def test_arc_endpoint_outside_recipe_is_rejected(self):
         doc = minimal_doc()
         doc["recipes"][0]["arcs"].append(["n1", "ghost"])

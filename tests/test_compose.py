@@ -66,6 +66,13 @@ class TestCompose:
         assert result.conditions == {"4"}
         assert not result
 
+    def test_failure_text_names_each_violated_condition(self, corpus, hierarchies):
+        result = compose(corpus.recipe("chop-tomato"), corpus.recipe("tomato-loop"), hierarchies)
+        assert str(result) == (
+            "composition failed: condition 4: outputs of the second recipe feed "
+            "inputs of the first | nodes c1"
+        )
+
     def test_disjoint_recipes_fail_condition_1(self, corpus, hierarchies):
         result = compose(corpus.recipe("peas-freeze"), corpus.recipe("chop-lettuce"), hierarchies)
         assert isinstance(result, CompositionFailure)

@@ -278,6 +278,26 @@ class TestSequences:
         assert isinstance(result, RewriteFailure)
         assert result.step == 1
 
+    def test_failure_text_names_the_step(self, corpus, hummus_parts):
+        host, prep, _ = hummus_parts
+        bad = RewriteStep(corpus.recipe("fry-onion"), corpus.recipe("fry-onion-alt"))
+        result = apply_sequence(
+            host,
+            [RewriteStep(prep, corpus.recipe("hummus-canned-shortcut")), bad],
+            corpus.hierarchies,
+        )
+        assert str(result) == (
+            "structural substitution failed at step 1: condition iii: the removed "
+            "part is not an untrimmed subrecipe of the host; condition iv: "
+            "replacement reuses node ids of the kept part | nodes c4, c7"
+        )
+        alone = structural_substitute(host, bad.remove, bad.insert, corpus.hierarchies)
+        assert str(alone) == (
+            "structural substitution failed: condition iii: the removed part is not "
+            "an untrimmed subrecipe of the host; condition iv: replacement reuses "
+            "node ids of the kept part | nodes c4"
+        )
+
     def test_verify_full_bolognese_sequence(self, corpus, induced):
         host = corpus.recipe("spaghetti-pasata")
         prim_remove = induced(host, {"c3", "c4", "a2", "c5"})

@@ -116,6 +116,15 @@ class TestLoadHierarchy:
         with pytest.raises(DuplicateAliasError):
             load_hierarchy(doc)
 
+    def test_duplicate_type_id_is_a_located_schema_error(self):
+        from recipegraph.errors import SchemaError
+
+        doc = hdoc([{"id": "f", "parents": []}, {"id": "f"}])
+        with pytest.raises(SchemaError) as err:
+            load_hierarchy(doc)
+        assert err.value.path == "hierarchy.types[1].id"
+        assert err.value.reason == "duplicate type id 'f'"
+
 
 class TestQueries:
     def test_subtype_along_a_path(self, hierarchies):

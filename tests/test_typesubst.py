@@ -447,6 +447,44 @@ class TestPlannerMatchesReference:
         assert any(isinstance(o, SubstitutionPair) for o in outcomes)
         assert "BudgetExceededError" in outcomes
 
+    @pytest.mark.parametrize(
+        "budget, pairs, budget_outs, expansions",
+        [(100, 4, 37, 3776), (1000, 5, 36, 36290), (10_000, 15, 26, 340171)],
+    )
+    def test_sweep_expansions_are_pinned(
+        self, monkeypatch, corpus, hierarchies, budget, pairs, budget_outs, expansions
+    ):
+        """Pairs, budget-outs and expansions over the 41 sweep queries.
+
+        A budget-out counts as its whole limit. The answers alone would not
+        show a change in where the planner charges its budget.
+        """
+        budgets = []
+
+        class Counting(_Budget):
+            def __init__(self, limit: int):
+                super().__init__(limit)
+                budgets.append(self)
+
+        monkeypatch.setattr(typesubst, "_Budget", Counting)
+        model = CostModel(distances=corpus.distances)
+        outcomes = []
+        for rid in corpus.recipe_ids():
+            recipe = corpus.recipe(rid)
+            for missing in sorted(roles(recipe).inputs):
+                outcomes.append(
+                    _outcome(
+                        lambda: preferred_pair(
+                            recipe, [missing], corpus.acceptability, model,
+                            hierarchies, budget=budget,
+                        )
+                    )
+                )
+        assert len(outcomes) == len(budgets) == 41
+        assert sum(isinstance(o, SubstitutionPair) for o in outcomes) == pairs
+        assert outcomes.count("BudgetExceededError") == budget_outs
+        assert sum(b.limit - max(b.left, 0) for b in budgets) == expansions
+
     def test_random_recipes_with_an_unlicensed_triple(self, monkeypatch):
         model = CostModel()
         kinds = set()
