@@ -18,6 +18,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import compare as cmp_mod
@@ -32,18 +33,17 @@ from .bundle import (
     parse_bundle,
     recipe_doc,
 )
-from .compose import CompositionFailure, compose, compose_closure, decompose
-from .core import Recipe, Violation, build_recipe, roles, validate_recipe_graph, typing_violations
+from .compose import compose, compose_closure, decompose
+from .core import OperationFailure, Recipe, build_recipe, roles
 from .errors import (
     BudgetExceededError,
     ClosureLimitError,
-    NoSolutionError,
+    InvalidRecipeError,
     RecipeError,
-    RewriteFailureError,
     SchemaError,
+    UnknownNodeError,
 )
 from .rewrite import (
-    RewriteFailure,
     RewriteStep,
     apply_sequence,
     structural_cost,
@@ -88,19 +88,6 @@ class _Report:
         return exit_code
 
 
-def _violation_docs(violations) -> list[dict]:
-    return [
-        {
-            "condition": v.condition,
-            "message": v.message,
-            "nodes": list(v.nodes),
-            "arcs": [list(a) for a in v.arcs],
-            "types": list(v.types),
-        }
-        for v in violations
-    ]
-
-
 def _load_bundle(args) -> WorkspaceBundle:
     if args.bundle == "corpus":
         return load_corpus()
@@ -130,39 +117,32 @@ def _recipe_ref(ws: WorkspaceBundle, ref: str) -> Recipe:
 
 
 def _accepts(ws: WorkspaceBundle, args):
-    if getattr(args, "accept_file", None):
+    if args.accept_file:
         return load_acceptability(_read_json(args.accept_file), ws.hierarchies)
     return ws.acceptability
 
 
 def _distances(ws: WorkspaceBundle, args):
-    if getattr(args, "distances_file", None):
+    if args.distances_file:
         return load_distances(_read_json(args.distances_file), ws.hierarchies)
     return ws.distances
 
 
 def cmd_validate(args, ws: WorkspaceBundle, report: _Report) -> int:
     ids = args.ids or ws.recipe_ids()
-    all_violations: dict[str, list[Violation]] = {}
+    invalid: dict[str, list[dict]] = {}
     for rid in ids:
-        raw = ws.raw(rid)
-        violations = validate_recipe_graph(raw.graph)
-        if not violations:
-            violations = typing_violations(raw.graph, raw.typing, ws.hierarchies)
-        if violations:
-            all_violations[rid] = violations
+        try:
+            ws.recipe(rid)
+        except InvalidRecipeError as exc:
+            invalid[rid] = [asdict(v) for v in exc.violations]
             report.say(f"{rid}: INVALID")
-            for v in violations:
+            for v in exc.violations:
                 report.diagnose(f"{rid}: {v}")
         else:
             report.say(f"{rid}: ok")
-    report.data = {
-        "checked": list(ids),
-        "invalid": {
-            rid: _violation_docs(vs) for rid, vs in sorted(all_violations.items())
-        },
-    }
-    return report.emit(INPUT_ERROR if all_violations else OK)
+    report.data = {"checked": list(ids), "invalid": invalid}
+    return report.emit(INPUT_ERROR if invalid else OK)
 
 
 def cmd_roles(args, ws: WorkspaceBundle, report: _Report) -> int:
@@ -181,51 +161,51 @@ def cmd_roles(args, ws: WorkspaceBundle, report: _Report) -> int:
     return report.emit(OK)
 
 
+# Each relation's call: sub and io answer a bool, the others a witness or None.
+_RELATIONS = {
+    "iso": lambda r1, r2, args, ws: cmp_mod.isomorphic(r1, r2, budget=args.budget),
+    "sub": lambda r1, r2, args, ws: cmp_mod.is_subrecipe(r1, r2),
+    "equiv": lambda r1, r2, args, ws: cmp_mod.equivalent(r1, r2, budget=args.budget),
+    "io": lambda r1, r2, args, ws: cmp_mod.in_out_aligned(r1, r2),
+    "finer": lambda r1, r2, args, ws: cmp_mod.finer_grained(
+        r1, r2, budget=args.budget, fix_io=args.fix_io
+    ),
+    "specific": lambda r1, r2, args, ws: cmp_mod.more_specific(
+        r1, r2, ws.hierarchies, budget=args.budget
+    ),
+}
+
+
 def cmd_compare(args, ws: WorkspaceBundle, report: _Report) -> int:
     r1 = _recipe_ref(ws, args.first)
     r2 = _recipe_ref(ws, args.second)
     relation = args.relation
-    witness = None
-    if relation == "iso":
-        witness = cmp_mod.isomorphic(r1, r2, budget=args.budget)
-        holds = witness is not None
-    elif relation == "equiv":
-        witness = cmp_mod.equivalent(r1, r2, budget=args.budget)
-        holds = witness is not None
-    elif relation == "sub":
-        holds = cmp_mod.is_subrecipe(r1, r2)
-    elif relation == "io":
-        holds = cmp_mod.in_out_aligned(r1, r2)
-    elif relation == "finer":
-        witness = cmp_mod.finer_grained(r1, r2, budget=args.budget, fix_io=args.fix_io)
-        holds = witness is not None
-    elif relation == "specific":
-        witness = cmp_mod.more_specific(r1, r2, ws.hierarchies, budget=args.budget)
-        holds = witness is not None
-    else:  # pragma: no cover - argparse restricts choices
-        raise RecipeError(f"unknown relation {relation!r}")
+    answer = _RELATIONS[relation](r1, r2, args, ws)
+    witness = None if isinstance(answer, bool) else answer
+    holds = answer is True or witness is not None
     report.data = {"relation": relation, "holds": holds}
-    if witness is not None:
-        report.data["witness"] = dict(witness.forward)
     report.say(f"{relation}({args.first}, {args.second}) = {str(holds).lower()}")
     if witness is not None:
+        report.data["witness"] = dict(witness.forward)
         for n, m in witness.forward:
             report.say(f"  {n} -> {m}")
     return report.emit(OK if holds else NEGATIVE)
+
+
+def _report_failure(report: _Report, flag: str, failure: OperationFailure) -> int:
+    """Report a failed composition or rewrite: ``{flag: false}`` plus each violation."""
+    report.data = {flag: False, "violations": [asdict(v) for v in failure.violations]}
+    for v in failure.violations:
+        report.diagnose(f"condition {v.condition} violated: {v.message}")
+    return report.emit(NEGATIVE)
 
 
 def cmd_compose(args, ws: WorkspaceBundle, report: _Report) -> int:
     r1 = _recipe_ref(ws, args.first)
     r2 = _recipe_ref(ws, args.second)
     result = compose(r1, r2, ws.hierarchies)
-    if isinstance(result, CompositionFailure):
-        report.data = {
-            "composed": False,
-            "violations": _violation_docs(result.violations),
-        }
-        for v in result.violations:
-            report.diagnose(f"condition {v.condition} violated: {v.message}")
-        return report.emit(NEGATIVE)
+    if isinstance(result, OperationFailure):
+        return _report_failure(report, "composed", result)
     report.data = {"composed": True, "recipe": recipe_doc(result)}
     _say_recipe(report, result)
     return report.emit(OK)
@@ -234,31 +214,23 @@ def cmd_compose(args, ws: WorkspaceBundle, report: _Report) -> int:
 def cmd_closure(args, ws: WorkspaceBundle, report: _Report) -> int:
     ids = args.ids or ws.recipe_ids()
     seeds = [_recipe_ref(ws, rid) for rid in ids]
+    limit = None
     try:
         closed = compose_closure(
             seeds, ws.hierarchies, max_recipes=args.max_recipes, max_nodes=args.max_nodes
         )
     except ClosureLimitError as exc:
-        report.data = {
-            "truncated": True,
-            "size": len(exc.partial),
-            "recipes": _sorted_docs(exc.partial),
-        }
-        report.diagnose(str(exc))
-        return report.emit(BUDGET)
+        limit, closed = exc, exc.partial
     report.data = {
-        "truncated": False,
+        "truncated": limit is not None,
         "size": len(closed),
-        "recipes": _sorted_docs(closed),
+        "recipes": sorted((recipe_doc(r) for r in closed), key=canonical_json),
     }
+    if limit is not None:
+        report.diagnose(str(limit))
+        return report.emit(BUDGET)
     report.say(f"closure size: {len(closed)}")
     return report.emit(OK)
-
-
-def _sorted_docs(recipes) -> list[dict]:
-    docs = [recipe_doc(r) for r in recipes]
-    docs.sort(key=lambda d: canonical_json(d))
-    return docs
 
 
 def cmd_decompose(args, ws: WorkspaceBundle, report: _Report) -> int:
@@ -300,6 +272,8 @@ def cmd_substitute(args, ws: WorkspaceBundle, report: _Report) -> int:
         if "=" not in item:
             raise RecipeError(f"--bind expects node=type, got {item!r}")
         node, type_text = item.split("=", 1)
+        if node not in recipe.graph.nodes:
+            raise UnknownNodeError(node)
         if node in bindings:
             raise RecipeError(f"node {node!r} bound twice")
         bindings[node] = type_text
@@ -345,18 +319,16 @@ def cmd_rewrite(args, ws: WorkspaceBundle, report: _Report) -> int:
     part = _recipe_ref(ws, args.remove)
     replacement = _recipe_ref(ws, args.insert)
     result = structural_substitute(host, part, replacement, ws.hierarchies)
-    if isinstance(result, RewriteFailure):
-        report.data = {"applied": False, "violations": _violation_docs(result.violations)}
-        for v in result.violations:
-            report.diagnose(f"condition {v.condition} violated: {v.message}")
-        return report.emit(NEGATIVE)
+    if isinstance(result, OperationFailure):
+        return _report_failure(report, "applied", result)
+    data = {"applied": True, "recipe": recipe_doc(result)}
     if args.cost:
         cost_model = StructuralCostModel(distances=_distances(ws, args))
-        report.data["cost"] = {
+        data["cost"] = {
             "value": structural_cost(part, replacement, ws.hierarchies, cost_model),
             "normative": False,
         }
-    report.data = {"applied": True, **report.data, "recipe": recipe_doc(result)}
+    report.data = data
     _say_recipe(report, result)
     return report.emit(OK)
 
@@ -383,11 +355,11 @@ def cmd_rewrite_seq(args, ws: WorkspaceBundle, report: _Report) -> int:
                 )
             )
     result = apply_sequence(host, steps, ws.hierarchies)
-    if isinstance(result, RewriteFailure):
+    if isinstance(result, OperationFailure):
         report.data = {
             "applied": False,
             "failed_step": result.step,
-            "violations": _violation_docs(result.violations),
+            "violations": [asdict(v) for v in result.violations],
         }
         report.diagnose(str(result))
         return report.emit(NEGATIVE)
@@ -438,6 +410,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=cmp_mod.DEFAULT_BUDGET,
         help="max search expansions before giving up (exit 3)",
     )
+    common.set_defaults(accept_file=None, distances_file=None)
+    accept_file = argparse.ArgumentParser(add_help=False)
+    accept_file.add_argument(
+        "--accept-file", "--accept", dest="accept_file",
+        help="acceptability document overriding the bundle's",
+    )
+    distances_file = argparse.ArgumentParser(add_help=False)
+    distances_file.add_argument("--distances-file", "--distances", dest="distances_file")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -450,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_roles)
 
     p = sub.add_parser("compare", parents=[common], help="test one of the comparison relations")
-    p.add_argument("--relation", required=True, choices=("iso", "sub", "equiv", "io", "finer", "specific"))
+    p.add_argument("--relation", required=True, choices=tuple(_RELATIONS))
     p.add_argument("--fix-io", action="store_true", help="require the finer-grained map to fix in/out nodes")
     p.add_argument("first")
     p.add_argument("second")
@@ -471,12 +451,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("recipe")
     p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("accept", parents=[common], help="check a recipe against acceptability tuples")
-    p.add_argument("recipe")
-    p.add_argument(
-        "--accept-file", "--accept", dest="accept_file",
-        help="acceptability document overriding the bundle's",
+    p = sub.add_parser(
+        "accept", parents=[common, accept_file], help="check a recipe against acceptability tuples"
     )
+    p.add_argument("recipe")
     p.set_defaults(func=cmd_accept)
 
     p = sub.add_parser("substitute", parents=[common], help="rebind node types")
@@ -484,29 +462,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bind", action="append", default=[], metavar="NODE=TYPE", required=True)
     p.set_defaults(func=cmd_substitute)
 
-    p = sub.add_parser("plan", parents=[common], help="find the cheapest substitution pair")
+    p = sub.add_parser(
+        "plan", parents=[common, accept_file, distances_file], help="find the cheapest substitution pair"
+    )
     p.add_argument("recipe")
     p.add_argument("--missing", action="append", default=[], required=True,
                    help="an unavailable node id or type (repeatable)")
-    p.add_argument("--accept-file", "--accept", dest="accept_file")
-    p.add_argument("--distances-file", "--distances", dest="distances_file")
     p.add_argument("--aggregation", choices=("sum", "max"), default="sum")
     p.set_defaults(func=cmd_plan)
 
-    p = sub.add_parser("rewrite", parents=[common], help="replace one subrecipe by another")
+    p = sub.add_parser("rewrite", parents=[common, distances_file], help="replace one subrecipe by another")
     p.add_argument("recipe")
     p.add_argument("--remove", required=True, help="recipe id or recipe-document path")
     p.add_argument("--insert", required=True, help="recipe id or recipe-document path")
     p.add_argument("--cost", action="store_true", help="also report the heuristic edit cost")
-    p.add_argument("--distances-file", "--distances", dest="distances_file")
     p.set_defaults(func=cmd_rewrite)
 
-    p = sub.add_parser("rewrite-seq", parents=[common], help="apply a rewrite plan file")
+    p = sub.add_parser("rewrite-seq", parents=[common, accept_file], help="apply a rewrite plan file")
     p.add_argument("recipe")
-    p.add_argument("plan", help="JSON plan with primary/secondary step lists")
     p.add_argument(
-        "--accept-file", "--accept", dest="accept_file",
-        help="verify acceptability of the result",
+        "plan",
+        help="JSON plan with primary/secondary step lists; the result is checked for "
+        "acceptability when the plan sets check_acceptability or --accept-file is given",
     )
     p.set_defaults(func=cmd_rewrite_seq)
 
@@ -524,15 +501,15 @@ def run(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     report = _Report(args.command, args.format)
     try:
-        if args.budget < 0:
-            raise RecipeError(f"--budget must be a non-negative integer, got {args.budget}")
+        for option in ("budget", "max_recipes", "max_nodes"):
+            value = getattr(args, option, 0)
+            if value < 0:
+                flag = "--" + option.replace("_", "-")
+                raise RecipeError(f"{flag} must be a non-negative integer, got {value}")
         return args.func(args, _load_bundle(args), report)
     except (BudgetExceededError, ClosureLimitError) as exc:
         report.diagnose(str(exc))
         return report.emit(BUDGET)
-    except (NoSolutionError, RewriteFailureError) as exc:
-        report.diagnose(str(exc))
-        return report.emit(NEGATIVE)
     except (RecipeError, OSError) as exc:
         report.diagnose(str(exc))
         return report.emit(INPUT_ERROR)

@@ -159,9 +159,10 @@ def compose_closure(
     Deduplication is structural equality, which shared node ids make sound.
     The closure of a finite seed set is finite; ``max_recipes``/``max_nodes``
     guard against runaway inputs by raising ClosureLimitError carrying the
-    partial closure.
+    partial closure. Which recipes that holds depends on the order of
+    ``seeds`` alone, not on the hash seed: ``found`` keeps insertion order.
     """
-    found: set[Recipe] = set(seeds)
+    found: dict[Recipe, None] = dict.fromkeys(seeds)
     if len(found) > max_recipes:
         raise ClosureLimitError("seed set already exceeds max_recipes", found)
     worklist: list[tuple[Recipe, Recipe]] = [(a, b) for a in found for b in found]
@@ -180,7 +181,7 @@ def compose_closure(
             worklist.append((result, other))
             worklist.append((other, result))
         worklist.append((result, result))
-        found.add(result)
+        found[result] = None
         if len(found) > max_recipes:
             raise ClosureLimitError(f"closure exceeds max_recipes={max_recipes}", found)
     return frozenset(found)

@@ -25,6 +25,34 @@ def run_json(capsys, *argv):
     return code, report
 
 
+def run_both(capsys, *argv):
+    """Exit code, human stdout and JSON report of one request."""
+    code = run(list(argv))
+    human = capsys.readouterr().out
+    json_code, report = run_json(capsys, *argv)
+    assert json_code == code
+    return code, human, report
+
+
+def bundle_with(tmp_path, *recipes) -> str:
+    """The corpus bundle plus extra recipe documents, written to a file."""
+    doc = json.loads(serialize_bundle(load_corpus()))
+    doc["recipes"].extend(recipes)
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+# boil-atomic with the water typed ``pasta``, comparable to the spaghetti in c1.
+TYPING_ONLY = {
+    "id": "typing-only",
+    "comestibles": ["c1", "c2", "c3"],
+    "actions": ["a1"],
+    "arcs": [["a1", "c3"], ["c1", "a1"], ["c2", "a1"]],
+    "typing": {"a1": "boil pasta for 10 min", "c1": "spaghetti", "c2": "pasta", "c3": "cooked spaghetti"},
+}
+
+
 class TestValidate:
     def test_corpus_is_clean(self, capsys):
         code, report = run_json(capsys, "validate")
@@ -59,6 +87,60 @@ class TestValidate:
     def test_missing_bundle_file_is_an_input_error(self, capsys):
         code, report = run_json(capsys, "validate", "-b", "/nonexistent/bundle.json")
         assert code == 2
+
+    def test_a_typing_violation_alone_is_reported(self, capsys, tmp_path):
+        path = bundle_with(tmp_path, TYPING_ONLY)
+        code, human, report = run_both(capsys, "validate", "-b", path, "typing-only", "boil-atomic")
+        message = (
+            "typing-only: condition comparable: distinct comestibles with comparable types"
+            " | nodes c1, c2 | types spaghetti, pasta"
+        )
+        assert code == 2
+        assert human == f"typing-only: INVALID\nboil-atomic: ok\n{message}\n"
+        assert report["status"] == "error"
+        assert report["diagnostics"] == [message]
+        assert report["data"] == {
+            "checked": ["typing-only", "boil-atomic"],
+            "invalid": {
+                "typing-only": [
+                    {
+                        "condition": "comparable",
+                        "message": "distinct comestibles with comparable types",
+                        "nodes": ["c1", "c2"],
+                        "arcs": [],
+                        "types": ["spaghetti", "pasta"],
+                    }
+                ]
+            },
+        }
+
+    def test_graph_violations_are_reported_before_typing_is_checked(self, capsys, tmp_path):
+        broken = {
+            **TYPING_ONLY,
+            "id": "both-broken",
+            "comestibles": ["c1", "c2", "c3", "c4"],
+            "typing": {**TYPING_ONLY["typing"], "c4": "pasta"},
+        }
+        path = bundle_with(tmp_path, broken)
+        code, human, report = run_both(capsys, "validate", "-b", path, "both-broken")
+        message = "both-broken: condition 3: graph is not connected | nodes c4"
+        assert code == 2
+        assert human == f"both-broken: INVALID\n{message}\n"
+        assert report["diagnostics"] == [message]
+        assert report["data"] == {
+            "checked": ["both-broken"],
+            "invalid": {
+                "both-broken": [
+                    {
+                        "condition": "3",
+                        "message": "graph is not connected",
+                        "nodes": ["c4"],
+                        "arcs": [],
+                        "types": [],
+                    }
+                ]
+            },
+        }
 
 
 class TestCompare:
@@ -100,6 +182,36 @@ class TestCompare:
     def test_unknown_recipe_is_an_input_error(self, bundle_path):
         assert run(["compare", "-b", bundle_path, "--relation", "iso", "fry-onion", "nope"]) == 2
 
+    @pytest.mark.parametrize(
+        "relation, first, second, code, witness",
+        [
+            ("iso", "fry-onion", "fry-onion-alt", 0, {"a1": "a8", "c1": "c7", "c2": "c4"}),
+            ("sub", "fry-onion", "fry-onion-alt", 1, None),
+            ("equiv", "fry-onion", "fry-onion-alt", 0, {"a1": "a8", "c1": "c7", "c2": "c4"}),
+            ("io", "fry-onion", "fry-onion-alt", 1, None),
+            ("finer", "fry-onion", "fry-onion-alt", 1, None),
+            ("specific", "fry-onion", "fry-onion-alt", 0, {"a1": "a8", "c1": "c7", "c2": "c4"}),
+            ("sub", "hummus-canned-shortcut", "hummus-canned", 0, None),
+            ("io", "hummus", "hummus-slow", 0, None),
+        ],
+    )
+    def test_each_relation_reports_its_answer_and_witness(
+        self, capsys, bundle_path, relation, first, second, code, witness
+    ):
+        got_code, human, report = run_both(
+            capsys, "compare", "-b", bundle_path, "--relation", relation, first, second
+        )
+        holds = code == 0
+        lines = [f"{relation}({first}, {second}) = {str(holds).lower()}"]
+        data = {"relation": relation, "holds": holds}
+        if witness is not None:
+            lines += [f"  {n} -> {m}" for n, m in witness.items()]
+            data["witness"] = witness
+        assert got_code == code
+        assert human == "".join(line + "\n" for line in lines)
+        assert report["data"] == data
+        assert report["diagnostics"] == []
+
 
 class TestCompose:
     def test_failed_composition_names_the_condition(self, capsys, bundle_path):
@@ -120,6 +232,59 @@ class TestCompose:
         assert code == 0
         assert report["data"]["size"] == 6
         assert report["data"]["truncated"] is False
+
+    def test_failed_composition_report(self, capsys, bundle_path):
+        code, human, report = run_both(capsys, "compose", "-b", bundle_path, "chop-tomato", "tomato-loop")
+        message = "condition 4 violated: outputs of the second recipe feed inputs of the first"
+        assert code == 1
+        assert human == message + "\n"
+        assert report["diagnostics"] == [message]
+        assert report["data"] == {
+            "composed": False,
+            "violations": [
+                {
+                    "condition": "4",
+                    "message": "outputs of the second recipe feed inputs of the first",
+                    "nodes": ["c1"],
+                    "arcs": [],
+                    "types": [],
+                }
+            ],
+        }
+
+    def test_truncated_closure_does_not_depend_on_the_hash_seed(self, bundle_path):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import recipegraph
+
+        src = str(Path(recipegraph.__file__).resolve().parents[1])
+        argv = [
+            sys.executable, "-m", "recipegraph.cli", "closure", "-b", bundle_path,
+            "peas-freeze", "peas-thaw", "peas-refreeze", "--max-recipes", "4", "--format", "json",
+        ]
+        outputs = set()
+        for seed in ("0", "1"):
+            env = {
+                **os.environ,
+                "PYTHONHASHSEED": seed,
+                "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+            }
+            done = subprocess.run(argv, capture_output=True, env=env, timeout=60)
+            assert done.returncode == 3
+            outputs.add(done.stdout)
+        assert len(outputs) == 1
+
+    @pytest.mark.parametrize("option", ["--max-recipes", "--max-nodes"])
+    def test_negative_closure_limit_is_an_input_error(self, capsys, bundle_path, option):
+        code, report = run_json(
+            capsys, "closure", "-b", bundle_path, "peas-freeze", "peas-thaw", option, "-1"
+        )
+        assert code == 2
+        assert report["status"] == "error"
+        assert report["diagnostics"] == [f"{option} must be a non-negative integer, got -1"]
 
     def test_closure_limit_exits_three(self, capsys, bundle_path):
         code, report = run_json(
@@ -165,6 +330,13 @@ class TestAcceptAndPlan:
         )
         assert code == 0
         assert report["data"]["recipe"]["typing"]["c1"] == "raw onion"
+
+    def test_substitute_on_an_unknown_node_is_an_input_error(self, capsys, bundle_path):
+        code, report = run_json(
+            capsys, "substitute", "-b", bundle_path, "carrot-soup", "--bind", "zz=raw onion"
+        )
+        assert code == 2
+        assert report["diagnostics"] == ["unknown node 'zz'"]
 
     def test_substitute_conflicting_binding_is_an_input_error(self, bundle_path):
         assert (
@@ -302,6 +474,57 @@ class TestRewriteCommands:
         )
         assert code == 1
         assert report["data"]["violations"]
+
+    def test_rewrite_failure_report(self, capsys, bundle_path):
+        code, human, report = run_both(
+            capsys, "rewrite", "-b", bundle_path, "hummus", "--remove", "fry-onion", "--insert", "fry-onion-alt"
+        )
+        messages = [
+            "condition iii violated: the removed part is not an untrimmed subrecipe of the host",
+            "condition iv violated: replacement reuses node ids of the kept part",
+        ]
+        assert code == 1
+        assert human == "".join(m + "\n" for m in messages)
+        assert report["diagnostics"] == messages
+        assert report["data"] == {
+            "applied": False,
+            "violations": [
+                {
+                    "condition": "iii",
+                    "message": "the removed part is not an untrimmed subrecipe of the host",
+                    "nodes": [],
+                    "arcs": [],
+                    "types": [],
+                },
+                {
+                    "condition": "iv",
+                    "message": "replacement reuses node ids of the kept part",
+                    "nodes": ["c4"],
+                    "arcs": [],
+                    "types": [],
+                },
+            ],
+        }
+
+    def test_rewrite_with_cost_report(self, capsys, bundle_path, tmp_path, corpus, induced):
+        from recipegraph.bundle import canonical_json, recipe_doc
+
+        part = induced(corpus.recipe("hummus"), {"c2", "a2", "c3"})
+        part_path = tmp_path / "cook.json"
+        part_path.write_text(json.dumps(recipe_doc(part)))
+        code, human, report = run_both(
+            capsys, "rewrite", "-b", bundle_path, "hummus",
+            "--remove", str(part_path), "--insert", "hummus-pressure-cook", "--cost",
+        )
+        expected = recipe_doc(corpus.recipe("hummus-slow"))
+        assert code == 0
+        assert human == canonical_json(expected).decode("utf-8")
+        assert report["diagnostics"] == []
+        assert report["data"] == {
+            "applied": True,
+            "cost": {"normative": False, "value": 6.166666666666667},
+            "recipe": expected,
+        }
 
     def test_rewrite_seq_plan_file(self, capsys, bundle_path, tmp_path, corpus, induced):
         from recipegraph.bundle import recipe_doc
