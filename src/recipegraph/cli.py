@@ -325,7 +325,9 @@ def cmd_rewrite(args, ws: WorkspaceBundle, report: _Report) -> int:
     if args.cost:
         cost_model = StructuralCostModel(distances=_distances(ws, args))
         data["cost"] = {
-            "value": structural_cost(part, replacement, ws.hierarchies, cost_model),
+            "value": structural_cost(
+                part, replacement, ws.hierarchies, cost_model, budget=args.budget
+            ),
             "normative": False,
         }
     report.data = data
@@ -354,6 +356,8 @@ def cmd_rewrite_seq(args, ws: WorkspaceBundle, report: _Report) -> int:
                     insert=_recipe_ref(ws, sdoc["insert"]),
                 )
             )
+    # read every input before applying, so that an input error reports no result
+    accepts = _accepts(ws, args) if args.accept_file or plan.get("check_acceptability") else None
     result = apply_sequence(host, steps, ws.hierarchies)
     if isinstance(result, OperationFailure):
         report.data = {
@@ -364,8 +368,7 @@ def cmd_rewrite_seq(args, ws: WorkspaceBundle, report: _Report) -> int:
         report.diagnose(str(result))
         return report.emit(NEGATIVE)
     report.data = {"applied": True, "recipe": recipe_doc(result)}
-    if args.accept_file or plan.get("check_acceptability"):
-        accepts = _accepts(ws, args)
+    if accepts is not None:
         violations = check_acceptable(result, accepts, ws.hierarchies)
         report.data["acceptable"] = not violations
         if violations:

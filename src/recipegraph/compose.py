@@ -29,7 +29,7 @@ from .core import (
     recipe_graph,
     roles,
 )
-from .errors import ClosureLimitError, KindConflictError
+from .errors import ClosureLimitError, KindConflictError, RecipeError
 from .typekb import Hierarchies
 
 
@@ -161,7 +161,11 @@ def compose_closure(
     guard against runaway inputs by raising ClosureLimitError carrying the
     partial closure. Which recipes that holds depends on the order of
     ``seeds`` alone, not on the hash seed: ``found`` keeps insertion order.
+    A negative limit raises RecipeError before any composition.
     """
+    for name, limit in (("max_recipes", max_recipes), ("max_nodes", max_nodes)):
+        if limit < 0:
+            raise RecipeError(f"{name} must be a non-negative integer, got {limit}")
     found: dict[Recipe, None] = dict.fromkeys(seeds)
     if len(found) > max_recipes:
         raise ClosureLimitError("seed set already exceeds max_recipes", found)

@@ -24,7 +24,7 @@ from typing import Sequence
 from .acceptability import AcceptabilitySet, check_acceptable
 from .core import OperationFailure, Recipe, Violation, assemble, recipe_graph, roles
 from .errors import NotSubrecipeError, RewriteFailureError
-from .compare import _Budget, _depth_first, is_subrecipe
+from .compare import DEFAULT_BUDGET, _Budget, _depth_first, is_subrecipe
 from .typekb import DistanceModel, Hierarchies
 
 
@@ -291,6 +291,7 @@ def structural_cost(
     r2: Recipe,
     hierarchies: Hierarchies,
     model: StructuralCostModel | None = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> float:
     """Heuristic edit distance between two recipes.
 
@@ -302,18 +303,26 @@ def structural_cost(
     that arcs are decided early. After deciding the first ``i`` nodes at
     label cost ``spent``, every completion costs at least
 
-        spent + tail[i]
+        spent + tail[i] + sum(colmin[i][m] for m unused)
         + edit_weight * (unmatched + |A1| + |A2| - 2 * min(|A1|, |A2|, carried + open))
 
-    where ``tail[i]`` sums each remaining node's cheapest partner cost (0 for
-    a node that may stay unmatched), ``carried`` counts the arcs of ``r1``
-    already carried onto arcs of ``r2`` and ``open`` the arcs of ``r1`` with
-    an end not yet decided. A partial matching whose bound reaches the best
-    total found is pruned; the bound is admissible, so the minimum is exact.
+    where ``tail[i]`` sums each remaining node's cheapest partner cost over
+    the kinds on which every node of ``r1`` must be matched, and
+    ``colmin[i][m]`` is the cheapest partner of a node ``m`` of ``r2`` among
+    the remaining nodes of ``r1``, for the kinds on which ``r1`` has spare
+    nodes and so every node of ``r2`` must be matched. Each kind is bounded
+    by one of the two terms, never both. ``carried`` counts the arcs of
+    ``r1`` already carried onto arcs of ``r2`` and ``open`` the arcs of
+    ``r1`` with an end not yet decided. A partial matching whose bound
+    reaches the best total found is pruned; the bound is admissible, so the
+    minimum is exact (Riesen & Bunke, Image and Vision Computing 2009, give
+    the bipartite view behind both label terms). Every option tried costs
+    one expansion of ``budget``; overspending raises BudgetExceededError.
     """
     if model is None:
         model = StructuralCostModel()
     w = model.edit_weight
+    b = _Budget(budget)
     arcs1, arcs2 = r1.graph.arcs, r2.graph.arcs
     max_carried = min(len(arcs1), len(arcs2))
 
@@ -336,8 +345,19 @@ def structural_cost(
             cheapest = partners[0][0] if partners and excess[kind] <= 0 else 0.0
             order.append((n, kind, partners, cheapest))
     tail = [0.0] * (len(order) + 1)
+    # colmin[i] maps each node of r2 whose kind has spare r1 nodes to its
+    # cheapest partner at position i or later, while its kind has one left
+    colmin: list[dict[str, float]] = [{}] * (len(order) + 1)
     for i in range(len(order) - 1, -1, -1):
-        tail[i] = tail[i + 1] + order[i][3]
+        _, kind, partners, cheapest = order[i]
+        tail[i] = tail[i + 1] + cheapest
+        if excess[kind] > 0:
+            colmin[i] = dict(colmin[i + 1])
+            for d, m in partners:
+                if d < colmin[i].get(m, math.inf):
+                    colmin[i][m] = d
+        else:
+            colmin[i] = colmin[i + 1]
     edits = unmatched + len(arcs1) + len(arcs2)  # before carried arcs are taken off
     # arcs of r1 are decided by their later endpoint in ``order``
     position = {n: i for i, (n, *_) in enumerate(order)}
@@ -349,7 +369,8 @@ def structural_cost(
     used: set[str] = set()
     skipped = dict.fromkeys(excess, 0)
     # (label cost, arcs carried, arcs open, bound) before node i is decided
-    state = [(0.0, 0, len(arcs1), tail[0] + w * (edits - 2 * max_carried))]
+    root = tail[0] + sum(colmin[0].values()) + w * (edits - 2 * max_carried)
+    state = [(0.0, 0, len(arcs1), root)]
     best = math.inf
 
     def choices(i: int):
@@ -359,8 +380,13 @@ def structural_cost(
         arcs_here = closing[i]
         open_ -= len(arcs_here)
         rest = tail[i + 1]
+        cols = colmin[i + 1]
+        if cols:
+            # the unused nodes of r2 that the remaining nodes of r1 must match
+            rest += sum(c for m, c in cols.items() if m not in used)
         if skipped[kind] < excess[kind]:
             # n may stay unmatched while r1 has spare nodes of its kind
+            b.spend()
             bound = spent + rest + w * (edits - 2 * min(max_carried, carried + open_))
             if bound < best:
                 skipped[kind] += 1
@@ -371,6 +397,7 @@ def structural_cost(
         for d, m in partners:
             if m in used:
                 continue
+            b.spend()
             mapping[n] = m
             kept = carried + sum(
                 1
@@ -378,7 +405,8 @@ def structural_cost(
                 if s in mapping and t in mapping and (mapping[s], mapping[t]) in arcs2
             )
             spent_m = spent + d
-            bound = spent_m + rest + w * (edits - 2 * min(max_carried, kept + open_))
+            rest_m = rest - cols[m] if m in cols else rest
+            bound = spent_m + rest_m + w * (edits - 2 * min(max_carried, kept + open_))
             if bound < best:
                 used.add(m)
                 state.append((spent_m, kept, open_, bound))

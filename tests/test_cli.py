@@ -526,6 +526,34 @@ class TestRewriteCommands:
             "recipe": expected,
         }
 
+    def test_rewrite_cost_honours_the_budget(self, capsys, tmp_path, corpus, induced):
+        from recipegraph.bundle import recipe_doc
+
+        part = induced(corpus.recipe("hummus"), {"c2", "a2", "c3"})
+        part_path = tmp_path / "cook.json"
+        part_path.write_text(json.dumps(recipe_doc(part)))
+        code, report = run_json(
+            capsys, "rewrite", "hummus", "--remove", str(part_path),
+            "--insert", "hummus-pressure-cook", "--cost", "--budget", "1",
+        )
+        assert code == 3
+        assert report["status"] == "budget"
+        assert report["data"] == {}
+        assert report["diagnostics"] == ["search budget of 1 expansions exceeded"]
+
+    def test_rewrite_seq_reads_the_accept_file_before_applying(self, capsys, tmp_path):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"primary": []}))
+        missing = tmp_path / "nope.json"
+        code, report = run_json(
+            capsys, "rewrite-seq", "spaghetti-pasata", str(plan), "--accept-file", str(missing)
+        )
+        assert code == 2
+        assert report["status"] == "error"
+        assert report["data"] == {}
+        (diagnostic,) = report["diagnostics"]
+        assert str(missing) in diagnostic
+
     def test_rewrite_seq_plan_file(self, capsys, bundle_path, tmp_path, corpus, induced):
         from recipegraph.bundle import recipe_doc
         from recipegraph.rewrite import RewriteStep, apply_sequence

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
 from recipegraph.compose import (
@@ -10,7 +12,7 @@ from recipegraph.compose import (
     decompose,
 )
 from recipegraph.core import Recipe, is_atomic, recipe_graph, roles, validate_recipe_graph
-from recipegraph.errors import ClosureLimitError, KindConflictError
+from recipegraph.errors import ClosureLimitError, KindConflictError, RecipeError
 
 
 class TestBipartiteUnion:
@@ -207,6 +209,21 @@ class TestClosure:
         with pytest.raises(ClosureLimitError):
             compose_closure(seeds, hierarchies, max_nodes=4)
 
+
+    @pytest.mark.parametrize("option", ["max_recipes", "max_nodes"])
+    def test_a_negative_limit_is_rejected_before_any_composition(
+        self, monkeypatch, corpus, hierarchies, option
+    ):
+        def no_compose(*args):
+            raise AssertionError("composed despite a negative limit")
+
+        # the package exports the function ``compose``, which hides the module
+        monkeypatch.setattr(importlib.import_module("recipegraph.compose"), "compose", no_compose)
+        seeds = [corpus.recipe("peas-freeze"), corpus.recipe("peas-thaw")]
+        with pytest.raises(RecipeError) as err:
+            compose_closure(seeds, hierarchies, **{option: -1})
+        assert type(err.value) is RecipeError
+        assert str(err.value) == f"{option} must be a non-negative integer, got -1"
 
 class TestDecompose:
     def test_one_piece_per_action(self, corpus, hierarchies):

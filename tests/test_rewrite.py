@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import itertools
+import math
+import time
+
 import pytest
 
 from oracles import brute_structural_cost
+from recipegraph import rewrite
+from recipegraph.compare import _Budget, _depth_first
 from recipegraph.core import Recipe
-from recipegraph.errors import NotSubrecipeError, RewriteFailureError
+from recipegraph.errors import BudgetExceededError, NotSubrecipeError, RewriteFailureError
 from recipegraph.rewrite import (
     RewriteFailure,
     RewriteStep,
@@ -431,3 +437,163 @@ class TestStructuralCostOracle:
                     assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
         # both kinds are seen with the larger side on the left and on the right
         assert {("comestible", 1), ("comestible", -1), ("action", 1), ("action", -1)} <= sizes_seen
+
+
+def _reference_structural_cost(r1, r2, hierarchies, model=None, spend=lambda: None):
+    """``structural_cost`` before the column bound: the label term is rows only.
+
+    ``spend`` is called once per option tried, where ``structural_cost``
+    charges its budget.
+    """
+    if model is None:
+        model = StructuralCostModel()
+    w = model.edit_weight
+    arcs1, arcs2 = r1.graph.arcs, r2.graph.arcs
+    max_carried = min(len(arcs1), len(arcs2))
+
+    order = []
+    excess = {}
+    unmatched = 0
+    for kind, left, right in (
+        ("action", r1.graph.actions, r2.graph.actions),
+        ("comestible", r1.graph.comestibles, r2.graph.comestibles),
+    ):
+        h = hierarchies.for_kind(kind)
+        excess[kind] = len(left) - len(right)
+        unmatched += abs(excess[kind])
+        for n in sorted(left):
+            partners = sorted(
+                (model.distances.distance(h, r1.type_of(n), r2.type_of(m)), m)
+                for m in right
+            )
+            cheapest = partners[0][0] if partners and excess[kind] <= 0 else 0.0
+            order.append((n, kind, partners, cheapest))
+    tail = [0.0] * (len(order) + 1)
+    for i in range(len(order) - 1, -1, -1):
+        tail[i] = tail[i + 1] + order[i][3]
+    edits = unmatched + len(arcs1) + len(arcs2)
+    position = {n: i for i, (n, *_) in enumerate(order)}
+    closing = [[] for _ in order]
+    for s, t in arcs1:
+        closing[max(position[s], position[t])].append((s, t))
+
+    mapping = {}
+    used = set()
+    skipped = dict.fromkeys(excess, 0)
+    state = [(0.0, 0, len(arcs1), tail[0] + w * (edits - 2 * max_carried))]
+    best = math.inf
+
+    def choices(i):
+        spent, carried, open_, _ = state[i]
+        n, kind, partners, _ = order[i]
+        arcs_here = closing[i]
+        open_ -= len(arcs_here)
+        rest = tail[i + 1]
+        if skipped[kind] < excess[kind]:
+            spend()
+            bound = spent + rest + w * (edits - 2 * min(max_carried, carried + open_))
+            if bound < best:
+                skipped[kind] += 1
+                state.append((spent, carried, open_, bound))
+                yield
+                state.pop()
+                skipped[kind] -= 1
+        for d, m in partners:
+            if m in used:
+                continue
+            spend()
+            mapping[n] = m
+            kept = carried + sum(
+                1
+                for s, t in arcs_here
+                if s in mapping and t in mapping and (mapping[s], mapping[t]) in arcs2
+            )
+            spent_m = spent + d
+            bound = spent_m + rest + w * (edits - 2 * min(max_carried, kept + open_))
+            if bound < best:
+                used.add(m)
+                state.append((spent_m, kept, open_, bound))
+                yield
+                state.pop()
+                used.discard(m)
+            del mapping[n]
+
+    for _ in _depth_first(len(order), choices):
+        best = state[-1][3]
+    return best
+
+
+def _multi_action(corpus) -> list[str]:
+    return [rid for rid in corpus.recipe_ids() if len(corpus.recipe(rid).graph.actions) >= 2]
+
+
+class TestStructuralCostMatchesReference:
+    @pytest.mark.parametrize("weight", [0.5, 1.0, 2.0])
+    def test_every_ordered_multi_action_pair_is_identical(self, corpus, weight):
+        model = StructuralCostModel(distances=corpus.distances, edit_weight=weight)
+        pairs = list(itertools.permutations(_multi_action(corpus), 2))
+        assert len(pairs) == 56
+        for a, b in pairs:
+            r1, r2 = corpus.recipe(a), corpus.recipe(b)
+            got = structural_cost(r1, r2, corpus.hierarchies, model)
+            assert got == _reference_structural_cost(r1, r2, corpus.hierarchies, model), (a, b)
+
+    def test_sweep_expansions_are_pinned(self, monkeypatch, corpus):
+        """Options tried and yielded on the 28 pairs of perfbench's search-sweep.
+
+        The reference yields 36,192 options on these pairs. The column bound
+        only adds to the bound, so no pair may try more options than before.
+        """
+        budgets = []
+        yielded = [0]
+
+        class Counting(_Budget):
+            def __init__(self, limit: int):
+                super().__init__(limit)
+                budgets.append(self)
+
+        def counting_depth_first(levels, choices):
+            def counted(i):
+                for _ in choices(i):
+                    yielded[0] += 1
+                    yield
+
+            return _depth_first(levels, counted)
+
+        monkeypatch.setattr(rewrite, "_Budget", Counting)
+        monkeypatch.setattr(rewrite, "_depth_first", counting_depth_first)
+        model = StructuralCostModel(distances=corpus.distances)
+        tried, reference_tried = [], []
+        for a, b in itertools.combinations(sorted(_multi_action(corpus)), 2):
+            r1, r2 = corpus.recipe(a), corpus.recipe(b)
+            structural_cost(r1, r2, corpus.hierarchies, model)
+            tried.append(budgets[-1].limit - budgets[-1].left)
+            spent = [0]
+
+            def spend():
+                spent[0] += 1
+
+            _reference_structural_cost(r1, r2, corpus.hierarchies, model, spend)
+            reference_tried.append(spent[0])
+        assert len(tried) == 28
+        assert all(new <= old for new, old in zip(tried, reference_tried))
+        assert (sum(tried), sum(reference_tried), yielded[0]) == (28706, 123286, 7769)
+
+
+class TestStructuralCostBudget:
+    def test_a_chain_against_a_merge_tree_runs_out_of_budget_quickly(self):
+        from test_compare import _chain, _flat_hierarchies, _merge_tree
+
+        hierarchies = _flat_hierarchies(20)
+        r1, r2 = _chain(hierarchies, 8), _merge_tree(hierarchies, 8)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError):
+            structural_cost(r1, r2, hierarchies, budget=10**4)
+        assert time.perf_counter() - start < 5
+
+    def test_the_slowest_sweep_pair_needs_exactly_its_options_tried(self, corpus):
+        r1, r2 = corpus.recipe("spaghetti-pasata"), corpus.recipe("vegetable-soup")
+        model = StructuralCostModel(distances=corpus.distances)
+        assert structural_cost(r1, r2, corpus.hierarchies, model, budget=9076) == 17.666666666666664
+        with pytest.raises(BudgetExceededError):
+            structural_cost(r1, r2, corpus.hierarchies, model, budget=9075)
