@@ -7,9 +7,9 @@ licensed triple also licenses nearby generalizations and specializations.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Mapping
 
 from .core import Recipe
 from .errors import SchemaError
@@ -144,7 +144,10 @@ class _Licences:
     alias, an unknown text or a type of the other kind matches no slot. The
     tuples are indexed by action, and comparability within k steps is
     symmetric, so a triple is tested only against the tuples whose action
-    matches its own.
+    matches its own. The types each of those tuples' slots match are worked
+    out the first time a triple reaches its action; under a non-exact
+    policy, a tuple's input or output text that names no comestible type
+    raises ``UnknownTypeError`` then.
     """
 
     def __init__(self, accepts: AcceptabilitySet, hierarchies: Hierarchies):
@@ -153,6 +156,7 @@ class _Licences:
         self._depth = accepts.depth_limit
         self._com, self._act = hierarchies.comestible, hierarchies.action
         self._slots: dict[tuple[str, str], frozenset[str]] = {}
+        self._pairs: dict[str, list[tuple[frozenset[str], frozenset[str]]]] = {}
         self._answers: dict[tuple[str, str, str], bool] = {}
 
     @cached_property
@@ -165,6 +169,16 @@ class _Licences:
                 action = self._act.resolve(action)
             index.setdefault(action, []).append((t.input, t.output))
         return index
+
+    def _matched(self, action: str) -> list[tuple[frozenset[str], frozenset[str]]]:
+        """The types that the input and output slots of each tuple of ``action`` match."""
+        found = self._pairs.get(action)
+        if found is None:
+            com = self._com
+            found = self._pairs[action] = [
+                (self._match(com, i), self._match(com, o)) for i, o in self._by_action[action]
+            ]
+        return found
 
     def _match(self, h: TypeHierarchy, t: str) -> frozenset[str]:
         """The types that a tuple slot holding ``t`` licenses under the policy."""
@@ -189,12 +203,12 @@ class _Licences:
 
     def _licensed_near(self, i: str, a: str, o: str) -> bool:
         """The non-exact test, through the tuples of the actions comparable to ``a``."""
-        com, act = self._com, self._act
+        act = self._act
         if a not in act or act.resolve(a) != a:
             return False
         for action in self._match(act, a) & self._by_action.keys():
-            for t_in, t_out in self._by_action[action]:
-                if i in self._match(com, t_in) and o in self._match(com, t_out):
+            for ins, outs in self._matched(action):
+                if i in ins and o in outs:
                     return True
         return False
 
@@ -212,13 +226,12 @@ class _Licences:
         actions = {b for a in acts for b in self._match(self._act, a)}
         for action in actions & self._by_action.keys():
             act_hit = acts & self._match(self._act, action)
-            for t_in, t_out in self._by_action[action]:
-                in_hit = ins & self._match(self._com, t_in)
-                out_hit = outs & self._match(self._com, t_out) if in_hit else None
-                if out_hit:
-                    for (j, _), hit in zip(slots, (in_hit, act_hit, out_hit)):
-                        if j is not None:
-                            found[j] |= hit
+            for t_ins, t_outs in self._matched(action):
+                if ins.isdisjoint(t_ins) or outs.isdisjoint(t_outs):
+                    continue
+                for (j, _), hit in zip(slots, (ins & t_ins, act_hit, outs & t_outs)):
+                    if j is not None:
+                        found[j] |= hit
         return found
 
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from importlib import resources
-from typing import Mapping
 
 from .acceptability import AcceptabilitySet, load_acceptability
 from .core import Arc, Recipe, RecipeGraph, build_recipe, recipe_graph

@@ -19,9 +19,10 @@ node sets, arcs, and typing.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import ClassVar, Iterable, Mapping, TypeVar
+from typing import ClassVar, TypeVar
 
 from .errors import InvalidRecipeError, UnknownNodeError
 from .typekb import Hierarchies, bfs, find_cycle

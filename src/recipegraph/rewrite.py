@@ -18,8 +18,8 @@ A failed substitution is a value (RewriteFailure), not an exception.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
 from .acceptability import AcceptabilitySet, check_acceptable
 from .core import OperationFailure, Recipe, Violation, assemble, recipe_graph, roles

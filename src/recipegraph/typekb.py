@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
 
 from .errors import (
     CycleDetectedError,

@@ -10,10 +10,9 @@ acceptability-restoring combination of least total type distance.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
+from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
 
 from .acceptability import AcceptabilitySet, _Licences, arc_triples
 from .compare import DEFAULT_BUDGET, NodeBijection, _Budget, _depth_first, isomorphic
@@ -146,91 +145,175 @@ def default_candidates(
     of the node's current type within ``radius`` undirected steps are added.
     The node's current type is dropped (rebinding to it is a no-op).
     """
+    pool = _pool_rule(recipe, accepts, hierarchies, radius, exclude)
+    return {n: pool(n) for n in sorted(recipe.graph.nodes)}
+
+
+def _pool_rule(
+    recipe: Recipe,
+    accepts: AcceptabilitySet,
+    hierarchies: Hierarchies,
+    radius: int = DEFAULT_RADIUS,
+    exclude: Iterable[str] = (),
+) -> Callable[[str], list[str]]:
+    """The pool of ``default_candidates`` as a function of the node, one pool per call."""
     excluded = set(exclude)
     graph = recipe.graph
-    in_slot = sorted({t.input for t in accepts.tuples})
-    act_slot = sorted({t.action for t in accepts.tuples})
-    out_slot = sorted({t.output for t in accepts.tuples})
-    candidates: dict[str, list[str]] = {}
-    for n in sorted(graph.nodes):
+    in_slot = {t.input for t in accepts.tuples}
+    act_slot = {t.action for t in accepts.tuples}
+    out_slot = {t.output for t in accepts.tuples}
+
+    def pool(n: str) -> list[str]:
         if n in graph.actions:
-            pool = set(act_slot)
+            found = set(act_slot)
             h = hierarchies.action
         else:
-            pool = set()
+            found = set()
             if graph.out_degree(n) > 0:
-                pool.update(in_slot)
+                found.update(in_slot)
             if graph.in_degree(n) > 0:
-                pool.update(out_slot)
+                found.update(out_slot)
             h = hierarchies.comestible
-        pool.update(h.relatives(recipe.type_of(n), radius))
-        pool.discard(recipe.type_of(n))
-        pool -= excluded
-        candidates[n] = sorted(pool)
-    return candidates
+        found.update(h.relatives(recipe.type_of(n), radius))
+        found.discard(recipe.type_of(n))
+        found -= excluded
+        return sorted(found)
+
+    return pool
 
 
-class _RepairChecker:
-    """Acceptability under one fixed primary, checked only where a rebinding acts.
+class _RepairSpace(Mapping):
+    """The candidate space of one planner query, with what its repair searches share.
 
-    Built once per primary. It resolves the primary-applied typing and keeps
-    the node set of every violation under the primary alone in
-    ``conflicts``: the typing violations that ``typing_violations`` reports
-    and the unlicensed arc triples. A secondary assignment leaves a violation
-    in place unless it rebinds one of its nodes, so a domain that misses a
-    conflict set cannot repair (``can_repair``). On a domain that hits them
-    all, only the comestible pairs and arc triples touching a rebound node
-    can change, and ``for_domain`` checks just those. On such a domain it
-    agrees with ``apply_substitution`` followed by ``check_acceptable``.
+    It stands in for the candidate mapping: ``space[n]`` is the pool of
+    ``candidates`` less ``exclude``, or of ``default_candidates`` when
+    ``candidates`` is None, built the first time it is read, so a search
+    that runs out of budget early builds few pools. Besides the pools it
+    holds what does not depend on the primary: one licence cache, the arc
+    triples and the triples at each node, the recipe's resolved types, and
+    each pool's candidates that name a type of the node's kind, resolved,
+    each with the types it is comparable to when the node is a comestible.
     """
 
     def __init__(
         self,
         recipe: Recipe,
-        primary: Mapping[str, str],
         accepts: AcceptabilitySet,
         hierarchies: Hierarchies,
+        candidates: Mapping[str, Sequence[str]] | None = None,
+        exclude: Iterable[str] = (),
     ):
         graph = recipe.graph
-        typing = dict(recipe.typing)
+        if candidates is None:
+            self._nodes: Collection[str] = dict.fromkeys(sorted(graph.nodes))
+            self._pool = _pool_rule(recipe, accepts, hierarchies, exclude=exclude)
+        else:
+            banned = frozenset(exclude)
+            self._nodes = candidates
+            self._pool = lambda n: [t for t in candidates[n] if t not in banned]
+        self.recipe = recipe
+        self.hierarchies = hierarchies
+        self.licences = _Licences(accepts, hierarchies)
+        self._pools: dict[str, Sequence[str]] = {}
+        self._resolved: dict[str, list[tuple[str, str, frozenset[str] | None]]] = {}
+        self._near: dict[str, frozenset[str]] = {}
+        self.types: dict[str, str] = {}
+        for n, t in recipe.typing.items():
+            h = hierarchies.for_kind(graph.kind_of(n))
+            if t in h:
+                self.types[n] = h.resolve(t)
+        self.triples = arc_triples(recipe)
+        self.triples_at: dict[str, list[tuple[str, str, str]]] = {}
+        for triple in self.triples:
+            for n in triple:
+                self.triples_at.setdefault(n, []).append(triple)
+
+    def __getitem__(self, n: str) -> Sequence[str]:
+        pool = self._pools.get(n)
+        if pool is None:
+            if n not in self._nodes:
+                raise KeyError(n)
+            pool = self._pools[n] = self._pool(n)
+        return pool
+
+    def __contains__(self, n) -> bool:
+        return n in self._nodes
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._nodes)
+
+    def __len__(self) -> int:
+        return len(self._nodes)
+
+    def comparable_to(self, t: str) -> frozenset[str]:
+        """The comestible types comparable to the comestible type ``t``."""
+        near = self._near.get(t)
+        if near is None:
+            h = self.hierarchies.comestible
+            near = self._near[t] = h.ancestors(t) | h.descendants(t)
+        return near
+
+    def resolved(self, n: str) -> list[tuple[str, str, frozenset[str] | None]]:
+        """``(text, type, comparable types)`` per candidate of ``n`` naming a type of its kind.
+
+        The comparable types are None for an action node.
+        """
+        found = self._resolved.get(n)
+        if found is None:
+            graph = self.recipe.graph
+            h = self.hierarchies.for_kind(graph.kind_of(n))
+            comestible = n in graph.comestibles
+            found = self._resolved[n] = []
+            for text in self[n]:
+                if text in h:
+                    t = h.resolve(text)
+                    found.append((text, t, self.comparable_to(t) if comestible else None))
+        return found
+
+
+class _RepairChecker:
+    """Acceptability under one fixed primary, checked only where a rebinding acts.
+
+    Built once per primary, over the query's ``_RepairSpace``; only the
+    primary's nodes are resolved again. It keeps the node set of every
+    violation under the primary alone in ``conflicts``: the typing
+    violations that ``typing_violations`` reports and the unlicensed arc
+    triples. A secondary assignment leaves a violation in place unless it
+    rebinds one of its nodes, so a domain that misses a conflict set cannot
+    repair (``can_repair``). On a domain that hits them all, only the
+    comestible pairs and arc triples touching a rebound node can change, and
+    ``for_domain`` checks just those. On such a domain it agrees with
+    ``apply_substitution`` followed by ``check_acceptable``.
+    """
+
+    def __init__(self, space: _RepairSpace, primary: Mapping[str, str]):
+        graph, hierarchies = space.recipe.graph, space.hierarchies
+        typing = dict(space.recipe.typing)
+        self._types = types = dict(space.types)
         for n, t in primary.items():
             if n in typing:
                 typing[n] = t
-        self._graph = graph
-        self._hierarchies = hierarchies
-        self._licences = _Licences(accepts, hierarchies)
-        self._near: dict[str, frozenset[str]] = {}
+                h = hierarchies.for_kind(graph.kind_of(n))
+                if t in h:
+                    types[n] = h.resolve(t)
+                else:
+                    types.pop(n, None)
+        self._space = space
+        self._licences = space.licences
         self.conflicts = [
             frozenset(v.nodes) for v in typing_violations(graph, typing, hierarchies)
         ]
-        self._types: dict[str, str] = {}
-        for n, t in typing.items():
-            h = hierarchies.for_kind(graph.kind_of(n))
-            if t in h:
-                self._types[n] = h.resolve(t)
-        self._triples_at: dict[str, list[tuple[str, str, str]]] = {}
-        for triple in arc_triples(recipe):
-            for n in triple:
-                self._triples_at.setdefault(n, []).append(triple)
-            if all(n in self._types for n in triple) and not self._licences._licensed(
-                tuple(self._types[n] for n in triple)
+        for triple in space.triples:
+            if all(n in types for n in triple) and not self._licences._licensed(
+                tuple(types[n] for n in triple)
             ):
                 self.conflicts.append(frozenset(triple))
-
-    def _comparable_to(self, t: str) -> frozenset[str]:
-        near = self._near.get(t)
-        if near is None:
-            h = self._hierarchies.comestible
-            near = self._near[t] = h.ancestors(t) | h.descendants(t)
-        return near
 
     def can_repair(self, domain: Sequence[str]) -> bool:
         """False when rebinding ``domain`` leaves some violation untouched."""
         return all(not c.isdisjoint(domain) for c in self.conflicts)
 
-    def for_domain(
-        self, domain: Sequence[str], candidates: Mapping[str, Sequence[str]]
-    ) -> Iterator[dict[str, str]]:
+    def for_domain(self, domain: Sequence[str]) -> Iterator[dict[str, str]]:
         """Every acceptable choice of one candidate per node of ``domain``, in order.
 
         A candidate is dropped when it names no type of the node's kind or
@@ -247,22 +330,17 @@ class _RepairChecker:
         checked on its comestible pairs and on the triples shared by two or
         more domain nodes.
         """
-        graph, fixed = self._graph, self._types
-        outside = [c for c in graph.comestibles if c not in domain]
+        space, fixed = self._space, self._types
+        graph = space.recipe.graph
         at = {n: i for i, n in enumerate(domain)}
+        outside = {fixed[c] for c in graph.comestibles if c not in at}
         pools = []
         for n in domain:
-            h = self._hierarchies.for_kind(graph.kind_of(n))
-            pool = []
-            for text in candidates[n]:
-                if text not in h:
-                    continue
-                t = h.resolve(text)
-                if n in graph.comestibles:
-                    near = self._comparable_to(t)
-                    if any(fixed[c] in near for c in outside):
-                        continue
-                pool.append((text, t))
+            pool = [
+                (text, t)
+                for text, t, near in space.resolved(n)
+                if near is None or near.isdisjoint(outside)
+            ]
             if not pool:
                 return
             pools.append(pool)
@@ -271,7 +349,7 @@ class _RepairChecker:
             dict.fromkeys(
                 tuple((at[m], None) if m in at else (None, fixed[m]) for m in triple)
                 for n in domain
-                for triple in self._triples_at.get(n, ())
+                for triple in space.triples_at.get(n, ())
             )
         )
         if not self._prune(pools, touching):
@@ -309,13 +387,39 @@ class _RepairChecker:
     def _fits(self, chosen: list[str], coms: list[int], shared: list) -> bool:
         """True when one type per domain position passes the pairs and shared triples."""
         for k, i in enumerate(coms):
-            near = self._comparable_to(chosen[i])
+            near = self._space.comparable_to(chosen[i])
             if any(chosen[j] in near for j in coms[k + 1:]):
                 return False
         return all(
             self._licences._licensed(tuple(chosen[j] if j is not None else f for j, f in slots))
             for slots in shared
         )
+
+
+def _repair_charge(lengths: Iterable[int], max_size: int | None, left: int) -> int:
+    """The expansions of a repair search over pools of these lengths, or a total past ``left``.
+
+    The search charges every domain of at most ``max_size`` nodes (no cap
+    when None) the product of its pool lengths, so in all the elementary
+    symmetric sums e_1 + ... + e_cap of the lengths; an empty pool adds
+    nothing to any of them. The lengths are taken one at a time, and adding
+    one never lowers a sum, so the count stops as soon as its partial total
+    exceeds ``left`` and returns that: the terms stay below ``left`` times a
+    pool length.
+    """
+    sums = [1]  # sums[k] is e_k of the lengths taken so far
+    total = 0
+    for length in lengths:
+        if not length:
+            continue
+        if max_size is None or len(sums) <= max_size:
+            sums.append(0)
+        for k in range(len(sums) - 1, 0, -1):
+            sums[k] += sums[k - 1] * length
+        total = sum(sums) - 1
+        if total > left:
+            break
+    return total
 
 
 def _minimal_repairs(
@@ -331,29 +435,34 @@ def _minimal_repairs(
 
     Enumerates assignments by increasing domain size, so solutions are found
     smallest-first; an assignment with a known solution strictly inside it
-    cannot be minimal and is skipped. Each assignment costs one expansion:
-    a domain is charged the product of its candidate list lengths in one
-    step, before any candidate is dropped or pruned and whether or not the
-    domain can repair, so budget-outs do not depend on the pruning. Within a
-    domain, ``_RepairChecker.for_domain`` yields the acceptable assignments
-    in ``itertools.product`` order. Raises NoSolutionError when the search
-    space holds no repair at all.
+    cannot be minimal and is skipped. Each assignment costs one expansion,
+    whether or not it is checked: every domain costs the product of its
+    candidate list lengths, and the whole search is charged that total
+    (``_repair_charge``) before it checks anything. So a search that would
+    run out of budget raises at once, and budget-outs do not depend on the
+    pruning. Within a domain, ``_RepairChecker.for_domain`` yields the
+    acceptable assignments in ``itertools.product`` order. ``candidates`` may
+    be the query's ``_RepairSpace``; any other mapping gets a space of its
+    own. Raises NoSolutionError when the search space holds no repair at all.
     """
-    checker = _RepairChecker(recipe, primary, accepts, hierarchies)
+    if isinstance(candidates, _RepairSpace):
+        space = candidates
+    else:
+        space = _RepairSpace(recipe, accepts, hierarchies, candidates)
+    checker = _RepairChecker(space, primary)
     if not checker.conflicts:
         return [{}]
-    eligible = sorted(
-        n for n in recipe.graph.nodes if n not in primary and candidates.get(n)
-    )
+    free = sorted(n for n in recipe.graph.nodes if n not in primary and n in space)
+    budget.spend(_repair_charge((len(space[n]) for n in free), max_size, budget.left))
+    eligible = [n for n in free if space[n]]
     cap = len(eligible) if max_size is None else min(max_size, len(eligible))
     solutions: list[dict[str, str]] = []
     found: list[set[tuple[str, str]]] = []
     for size in range(1, cap + 1):
         for domain in itertools.combinations(eligible, size):
-            budget.spend(math.prod(len(candidates[n]) for n in domain))
             if not checker.can_repair(domain):
                 continue
-            for assignment in checker.for_domain(domain, candidates):
+            for assignment in checker.for_domain(domain):
                 items = set(assignment.items())
                 if not any(s < items for s in found):
                     solutions.append(assignment)
@@ -383,11 +492,9 @@ def find_secondary(
     when the space is exhausted without a repair and BudgetExceededError when
     the budget runs out first.
     """
-    b = _Budget(budget)
-    if candidates is None:
-        candidates = default_candidates(recipe, accepts, hierarchies)
+    space = _RepairSpace(recipe, accepts, hierarchies, candidates)
     solutions = _minimal_repairs(
-        recipe, dict(primary), accepts, hierarchies, candidates, b, max_size
+        recipe, dict(primary), accepts, hierarchies, space, _Budget(budget), max_size
     )
     if model is not None:
         solutions.sort(key=_by_cost(recipe, model, hierarchies))
@@ -452,19 +559,12 @@ def preferred_pair(
     """
     b = _Budget(budget)
     target_nodes, banned = resolve_unavailable(recipe, unavailable, hierarchies)
-    if candidates is None:
-        candidates = default_candidates(
-            recipe, accepts, hierarchies, exclude=banned
-        )
-    else:
-        candidates = {
-            n: [t for t in pool if t not in banned] for n, pool in candidates.items()
-        }
+    space = _RepairSpace(recipe, accepts, hierarchies, candidates, exclude=banned)
 
     order = sorted(target_nodes)
     pools = []
     for n in order:
-        pool = list(candidates.get(n, ()))
+        pool = list(space.get(n, ()))
         if not pool:
             return None
         h = hierarchies.for_kind(recipe.graph.kind_of(n))
@@ -497,7 +597,7 @@ def preferred_pair(
 
     for _ in _depth_first(len(order), choices):
         try:
-            repairs = _minimal_repairs(recipe, dict(partial), accepts, hierarchies, candidates, b)
+            repairs = _minimal_repairs(recipe, dict(partial), accepts, hierarchies, space, b)
         except NoSolutionError:
             continue
         secondary = min(repairs, key=_by_cost(recipe, model, hierarchies))

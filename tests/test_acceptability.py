@@ -142,6 +142,24 @@ class TestExpandTuples:
         with pytest.raises(UnknownTypeError):
             load_acceptability({"tuples": [["carrot", "levitate", "soup"]]}, hierarchies)
 
+    def test_unknown_text_in_a_hand_built_set_is_reported_when_its_action_is_reached(
+        self, corpus, hierarchies
+    ):
+        recipe = corpus.recipe("boil-atomic")
+        licensed = ("spaghetti", "boil pasta for 10 min", "cooked spaghetti")
+        for action in ("boil", "bake"):
+            near = accept_set(
+                [licensed, ("no such food", action, "cooked spaghetti")],
+                policy="path-comparable",
+            )
+            if action == "boil":
+                with pytest.raises(UnknownTypeError):
+                    check_acceptable(recipe, near, hierarchies)
+            else:
+                assert len(check_acceptable(recipe, near, hierarchies)) == 1
+            exact = accept_set(near.tuples, policy="exact")
+            assert len(check_acceptable(recipe, exact, hierarchies)) == 1
+
     def test_bad_policy_in_document(self, hierarchies):
         with pytest.raises(SchemaError):
             load_acceptability({"tuples": [], "policy": "psychic"}, hierarchies)

@@ -53,6 +53,31 @@ TYPING_ONLY = {
 }
 
 
+def under_hash_seeds(*argv) -> set[tuple[int, bytes]]:
+    """Exit codes and stdout of ``python -m recipegraph.cli`` under PYTHONHASHSEED 0 and 1."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import recipegraph
+
+    src = str(Path(recipegraph.__file__).resolve().parents[1])
+    outcomes = set()
+    for seed in ("0", "1"):
+        env = {
+            **os.environ,
+            "PYTHONHASHSEED": seed,
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        }
+        done = subprocess.run(
+            [sys.executable, "-m", "recipegraph.cli", *argv],
+            capture_output=True, env=env, timeout=60,
+        )
+        outcomes.add((done.returncode, done.stdout))
+    return outcomes
+
+
 class TestValidate:
     def test_corpus_is_clean(self, capsys):
         code, report = run_json(capsys, "validate")
@@ -253,29 +278,11 @@ class TestCompose:
         }
 
     def test_truncated_closure_does_not_depend_on_the_hash_seed(self, bundle_path):
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import recipegraph
-
-        src = str(Path(recipegraph.__file__).resolve().parents[1])
-        argv = [
-            sys.executable, "-m", "recipegraph.cli", "closure", "-b", bundle_path,
+        outcomes = under_hash_seeds(
+            "closure", "-b", bundle_path,
             "peas-freeze", "peas-thaw", "peas-refreeze", "--max-recipes", "4", "--format", "json",
-        ]
-        outputs = set()
-        for seed in ("0", "1"):
-            env = {
-                **os.environ,
-                "PYTHONHASHSEED": seed,
-                "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-            }
-            done = subprocess.run(argv, capture_output=True, env=env, timeout=60)
-            assert done.returncode == 3
-            outputs.add(done.stdout)
-        assert len(outputs) == 1
+        )
+        assert len(outcomes) == 1 and outcomes.pop()[0] == 3
 
     @pytest.mark.parametrize("option", ["--max-recipes", "--max-nodes"])
     def test_negative_closure_limit_is_an_input_error(self, capsys, bundle_path, option):
@@ -425,6 +432,17 @@ class TestAcceptAndPlan:
         assert code == 2
         assert report["status"] == "error"
         assert "--budget" in report["diagnostics"][0]
+
+    @pytest.mark.parametrize(
+        "recipe, missing, code",
+        [("fry-onion", "c1", 0), ("carrot-soup", "c1", 3), ("spaghetti-pasata", "c1", 0)],
+        ids=["pair", "budget-out", "no-conflict"],
+    )
+    def test_plan_does_not_depend_on_the_hash_seed(self, recipe, missing, code):
+        outcomes = under_hash_seeds(
+            "plan", recipe, "--missing", missing, "--budget", "10000", "--format", "json"
+        )
+        assert len(outcomes) == 1 and outcomes.pop()[0] == code
 
 
 class TestLongChains:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 from random import Random
 
 import pytest
@@ -28,8 +29,10 @@ from recipegraph.typesubst import (
     default_candidates,
     find_secondary,
     preferred_pair,
+    resolve_unavailable,
     substitution_to,
 )
+from recipegraph.typekb import TypeHierarchy
 
 ROW = ("c1", "a1", "c2", "a2", "c3")
 
@@ -610,3 +613,164 @@ class TestPlannerMatchesReference:
             ),
         )
         assert found == expected
+
+
+def _brute_charge(lengths, max_size):
+    """The repair search's charge summed domain by domain, as the search once charged it."""
+    eligible = [k for k in lengths if k]
+    cap = len(eligible) if max_size is None else min(max_size, len(eligible))
+    return sum(
+        math.prod(domain)
+        for size in range(1, cap + 1)
+        for domain in itertools.combinations(eligible, size)
+    )
+
+
+class TestRepairCharge:
+    def test_closed_form_matches_the_sum_over_every_domain(self):
+        rng = Random(11)
+        for _ in range(300):
+            lengths = [rng.choice((0, 0, 1, 2, 3, 7, 30)) for _ in range(rng.randrange(10))]
+            for max_size in (None, 0, 1, rng.randrange(1, 10)):
+                want = _brute_charge(lengths, max_size)
+                assert typesubst._repair_charge(lengths, max_size, 10**30) == want
+                assert typesubst._repair_charge(lengths, max_size, want) == want
+                if want:
+                    # past the budget it may stop early, but never above the full sum
+                    assert want - 1 < typesubst._repair_charge(lengths, max_size, want - 1) <= want
+
+    @pytest.mark.parametrize("max_size", [None, 1, 3])
+    def test_huge_pools_stop_at_the_first_that_overflows(self, max_size):
+        read = []
+
+        def lengths():
+            for i in range(100):
+                read.append(i)
+                yield 10**9
+
+        assert typesubst._repair_charge(lengths(), max_size, 10**4) > 10**4
+        assert len(read) == 1
+
+    def test_partial_sums_stay_small(self):
+        read = []
+
+        def lengths():
+            for i in range(100):
+                read.append(i)
+                yield 2
+
+        charge = typesubst._repair_charge(lengths(), None, 10**6)
+        # 3**k - 1 expansions after k pools of two
+        assert 10**6 < charge <= 3 * 10**6 and len(read) == 13
+
+
+class TestDoomedRepairSearch:
+    """A repair search that its budget cannot cover raises before checking anything."""
+
+    PRIMARY = {"c1": "raw carrot"}
+
+    def charge(self, recipe, pools):
+        free = [n for n in sorted(recipe.graph.nodes) if n not in self.PRIMARY]
+        return _brute_charge([len(pools[n]) for n in free], None)
+
+    def test_same_limit_and_no_domain_checked(self, monkeypatch, corpus, hierarchies):
+        recipe, accepts = corpus.recipe("fry-onion"), corpus.acceptability
+        pools = default_candidates(recipe, accepts, hierarchies)
+        limit = self.charge(recipe, pools) - 1
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a doomed search checked a domain")
+
+        monkeypatch.setattr(typesubst._RepairChecker, "for_domain", fail)
+        calls = [
+            lambda: typesubst._minimal_repairs(
+                recipe, dict(self.PRIMARY), accepts, hierarchies, pools, _Budget(limit)
+            ),
+            lambda: find_secondary(recipe, self.PRIMARY, accepts, hierarchies, budget=limit),
+        ]
+        for call in calls:
+            with pytest.raises(BudgetExceededError) as raised:
+                call()
+            assert raised.value.budget == limit
+        with monkeypatch.context() as m:
+            m.setattr(typesubst, "_minimal_repairs", _reference_minimal_repairs)
+            for call in calls[1:]:
+                with pytest.raises(BudgetExceededError) as raised:
+                    call()
+                assert raised.value.budget == limit
+
+    def test_a_covered_search_spends_what_the_reference_spends(
+        self, monkeypatch, corpus, hierarchies
+    ):
+        recipe, accepts = corpus.recipe("fry-onion"), corpus.acceptability
+        pools = default_candidates(recipe, accepts, hierarchies)
+        limit = self.charge(recipe, pools)
+        left = []
+        for search in (typesubst._minimal_repairs, _reference_minimal_repairs):
+            budget = _Budget(limit)
+            found = search(recipe, dict(self.PRIMARY), accepts, hierarchies, pools, budget)
+            assert found == [{"a1": "chop carrot", "c2": "chopped vegetable"}]
+            left.append(budget.left)
+        assert left == [0, 0]
+
+
+def _reference_default_candidates(recipe, accepts, hierarchies, radius=2, exclude=()):
+    """``default_candidates`` as it was when it built every pool at once."""
+    excluded = set(exclude)
+    graph = recipe.graph
+    in_slot = sorted({t.input for t in accepts.tuples})
+    act_slot = sorted({t.action for t in accepts.tuples})
+    out_slot = sorted({t.output for t in accepts.tuples})
+    candidates = {}
+    for n in sorted(graph.nodes):
+        if n in graph.actions:
+            pool = set(act_slot)
+            h = hierarchies.action
+        else:
+            pool = set()
+            if graph.out_degree(n) > 0:
+                pool.update(in_slot)
+            if graph.in_degree(n) > 0:
+                pool.update(out_slot)
+            h = hierarchies.comestible
+        pool.update(h.relatives(recipe.type_of(n), radius))
+        pool.discard(recipe.type_of(n))
+        pool -= excluded
+        candidates[n] = sorted(pool)
+    return candidates
+
+
+class TestPoolsOnDemand:
+    def test_default_candidates_are_unchanged(self, corpus, hierarchies):
+        accepts = corpus.acceptability
+        for rid in corpus.recipe_ids():
+            recipe = corpus.recipe(rid)
+            excludes = [()] + [
+                resolve_unavailable(recipe, [missing], hierarchies)[1]
+                for missing in sorted(roles(recipe).inputs)
+            ]
+            for exclude in excludes:
+                assert default_candidates(
+                    recipe, accepts, hierarchies, exclude=exclude
+                ) == _reference_default_candidates(recipe, accepts, hierarchies, exclude=exclude)
+
+    def test_a_budget_out_builds_few_comestible_pools(self, monkeypatch):
+        ws = parse_bundle(json.dumps(fry_chain_doc(1100)))
+        model = CostModel(distances=ws.distances)
+        built = []
+        relatives = TypeHierarchy.relatives
+
+        def counting(self, t, radius):
+            if self.kind == "comestible":
+                built.append(t)
+            return relatives(self, t, radius)
+
+        monkeypatch.setattr(TypeHierarchy, "relatives", counting)
+        for budget, most in ((1, 0), (5000, 10)):
+            built.clear()
+            with pytest.raises(BudgetExceededError):
+                preferred_pair(
+                    ws.recipe("long"), ["fry"], ws.acceptability, model, ws.hierarchies,
+                    budget=budget,
+                )
+            assert len(built) <= most
