@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .acceptability import AcceptabilitySet, load_acceptability
-from .core import Arc, Recipe, RecipeGraph, build_recipe, recipe_graph
+from .core import Arc, Recipe, RecipeGraph, checked_recipe, recipe_graph
 from .errors import SchemaError, UnknownReferenceError
 from .typekb import (
     DistanceModel,
@@ -52,13 +52,7 @@ class WorkspaceBundle:
     def recipe(self, recipe_id: str) -> Recipe:
         """Build the fully validated recipe; raises InvalidRecipeError if broken."""
         raw = self.raw(recipe_id)
-        return build_recipe(
-            raw.graph.comestibles,
-            raw.graph.actions,
-            raw.graph.arcs,
-            raw.typing,
-            self.hierarchies,
-        )
+        return checked_recipe(raw.graph, raw.typing, self.hierarchies)
 
     def raw(self, recipe_id: str) -> RawRecipe:
         try:
@@ -72,12 +66,37 @@ def _check(cond: bool, path: str, reason: str):
         raise SchemaError(path, reason)
 
 
+def read_json(data: bytes | str, where: str):
+    """Decode one JSON document; a malformed one is a SchemaError located at ``where``.
+
+    ``ValueError`` covers bad syntax, bytes that are not UTF-8, integers past
+    the interpreter's digit limit, and keys or strings that cannot be
+    encoded as UTF-8 (a lone surrogate); nesting too deep for the decoder
+    raises ``RecursionError``.
+    """
+    try:
+        text = data if isinstance(data, str) else data.decode("utf-8")
+        doc = json.loads(text)
+        # UTF-8 bytes decode to no surrogate, so there only an escape can spell one
+        if isinstance(data, str) or "\\" in text:
+            stack = [doc]
+            while stack:
+                value = stack.pop()
+                if isinstance(value, str):
+                    value.encode("utf-8")
+                elif isinstance(value, dict):
+                    stack += value
+                    stack += value.values()
+                elif isinstance(value, list):
+                    stack += value
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(where, f"not valid UTF-8 JSON: {exc}") from exc
+    return doc
+
+
 def parse_bundle(data: bytes | str) -> WorkspaceBundle:
     """Parse and cross-check a bundle document."""
-    try:
-        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise SchemaError("bundle", f"not valid UTF-8 JSON: {exc}") from exc
+    doc = read_json(data, "bundle")
     _check(isinstance(doc, Mapping), "bundle", "expected an object")
 
     hdoc = doc.get("hierarchies")

@@ -31,6 +31,7 @@ from .bundle import (
     export_dot,
     load_corpus,
     parse_bundle,
+    read_json,
     recipe_doc,
 )
 from .compose import compose, compose_closure, decompose
@@ -40,7 +41,6 @@ from .errors import (
     ClosureLimitError,
     InvalidRecipeError,
     RecipeError,
-    SchemaError,
     UnknownNodeError,
 )
 from .rewrite import (
@@ -99,11 +99,8 @@ def _say_recipe(report: _Report, recipe: Recipe):
 
 
 def _read_json(path: str):
-    """Parse a JSON side file; a malformed or non-UTF-8 one is a SchemaError at its path."""
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise SchemaError(path, f"not valid UTF-8 JSON: {exc}") from exc
+    """Parse a JSON side file; a malformed one is a SchemaError at its path."""
+    return read_json(Path(path).read_bytes(), path)
 
 
 def _recipe_ref(ws: WorkspaceBundle, ref: str) -> Recipe:

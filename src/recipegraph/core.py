@@ -283,6 +283,13 @@ def typing_violations(
     Reports untyped or unknown nodes, kind mismatches, unknown types, and
     every pair of distinct comestibles whose types are comparable.
     """
+    return _resolve_typing(graph, typing, hierarchies)[0]
+
+
+def _resolve_typing(
+    graph: RecipeGraph, typing: Mapping[str, str], hierarchies: Hierarchies
+) -> tuple[list[Violation], dict[str, str]]:
+    """``typing_violations``, and the resolved type of each well-kinded node in typing order."""
     violations: list[Violation] = []
     nodes = graph.nodes
     untyped = tuple(sorted(nodes - set(typing)))
@@ -294,17 +301,21 @@ def typing_violations(
             Violation("unknown-node", "typing mentions nodes outside the graph", nodes=stray)
         )
 
+    # walking the typing in its own order builds the recipe's typing without a
+    # sort; only the (usually absent) faults are sorted, by node
     resolved: dict[str, str] = {}
-    for n in sorted(nodes & set(typing)):
+    mistyped: list[Violation] = []
+    for n, text in typing.items():
+        if n not in nodes:
+            continue
         kind = graph.kind_of(n)
         own = hierarchies.for_kind(kind)
-        text = typing[n]
         if text in own:
             resolved[n] = own.resolve(text)
             continue
         other = hierarchies.kind_of_type(text)
         if other is not None:
-            violations.append(
+            mistyped.append(
                 Violation(
                     "kind",
                     f"{kind} node typed with a {other} type",
@@ -313,9 +324,10 @@ def typing_violations(
                 )
             )
         else:
-            violations.append(
+            mistyped.append(
                 Violation("unknown-type", "type not found in any hierarchy", nodes=(n,), types=(text,))
             )
+    violations += sorted(mistyped, key=lambda v: v.nodes)
 
     # a comparable pair is found once, from the side whose type lies below:
     # among its type's ancestors, or within the same type
@@ -337,7 +349,7 @@ def typing_violations(
                 types=(resolved[c1], resolved[c2]),
             )
         )
-    return violations
+    return violations, resolved
 
 
 def make_recipe(
@@ -349,14 +361,20 @@ def make_recipe(
     spellings compare equal. Raises InvalidRecipeError listing every typing
     violation.
     """
-    violations = typing_violations(graph, typing, hierarchies)
+    violations, resolved = _resolve_typing(graph, typing, hierarchies)
     if violations:
         raise InvalidRecipeError(violations)
-    canonical = {
-        n: hierarchies.for_kind(graph.kind_of(n)).resolve(t)
-        for n, t in typing.items()
-    }
-    return Recipe(graph, canonical)
+    return Recipe(graph, resolved)
+
+
+def checked_recipe(
+    graph: RecipeGraph, typing: Mapping[str, str], hierarchies: Hierarchies
+) -> Recipe:
+    """Validate graph then typing, raising InvalidRecipeError on any failure."""
+    violations = validate_recipe_graph(graph)
+    if violations:
+        raise InvalidRecipeError(violations)
+    return make_recipe(graph, typing, hierarchies)
 
 
 def build_recipe(
@@ -366,12 +384,8 @@ def build_recipe(
     typing: Mapping[str, str],
     hierarchies: Hierarchies,
 ) -> Recipe:
-    """Validate graph then typing, raising InvalidRecipeError on any failure."""
-    graph = recipe_graph(comestibles, actions, arcs)
-    graph_violations = validate_recipe_graph(graph)
-    if graph_violations:
-        raise InvalidRecipeError(graph_violations)
-    return make_recipe(graph, typing, hierarchies)
+    """Build the graph from raw parts, then validate it as ``checked_recipe`` does."""
+    return checked_recipe(recipe_graph(comestibles, actions, arcs), typing, hierarchies)
 
 
 def assemble(
@@ -382,13 +396,10 @@ def assemble(
     The operator's own conditions can hold while the assembly still breaks a
     rule of recipes; each such violation is reported as condition "result".
     """
-    violations = validate_recipe_graph(graph)
-    if not violations:
-        try:
-            return make_recipe(graph, typing, hierarchies)
-        except InvalidRecipeError as exc:
-            violations = exc.violations
-    return failure(tuple(replace(v, condition="result") for v in violations))
+    try:
+        return checked_recipe(graph, typing, hierarchies)
+    except InvalidRecipeError as exc:
+        return failure(tuple(replace(v, condition="result") for v in exc.violations))
 
 
 def roles(recipe: Recipe | RecipeGraph) -> RoleSets:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .acceptability import AcceptabilitySet, _Licences, arc_triples
 from .compare import DEFAULT_BUDGET, NodeBijection, _Budget, _depth_first, isomorphic
-from .core import Recipe, make_recipe, typing_violations
+from .core import Recipe, _resolve_typing, make_recipe
 from .errors import (
     NoSolutionError,
     NotIsomorphicError,
@@ -190,9 +190,9 @@ class _RepairSpace(Mapping):
     ``candidates`` is None, built the first time it is read, so a search
     that runs out of budget early builds few pools. Besides the pools it
     holds what does not depend on the primary: one licence cache, the arc
-    triples and the triples at each node, the recipe's resolved types, and
-    each pool's candidates that name a type of the node's kind, resolved,
-    each with the types it is comparable to when the node is a comestible.
+    triples and the triples at each node, and each pool's candidates that
+    name a type of the node's kind, resolved, each with the types it is
+    comparable to when the node is a comestible.
     """
 
     def __init__(
@@ -217,11 +217,6 @@ class _RepairSpace(Mapping):
         self._pools: dict[str, Sequence[str]] = {}
         self._resolved: dict[str, list[tuple[str, str, frozenset[str] | None]]] = {}
         self._near: dict[str, frozenset[str]] = {}
-        self.types: dict[str, str] = {}
-        for n, t in recipe.typing.items():
-            h = hierarchies.for_kind(graph.kind_of(n))
-            if t in h:
-                self.types[n] = h.resolve(t)
         self.triples = arc_triples(recipe)
         self.triples_at: dict[str, list[tuple[str, str, str]]] = {}
         for triple in self.triples:
@@ -274,11 +269,11 @@ class _RepairSpace(Mapping):
 class _RepairChecker:
     """Acceptability under one fixed primary, checked only where a rebinding acts.
 
-    Built once per primary, over the query's ``_RepairSpace``; only the
-    primary's nodes are resolved again. It keeps the node set of every
-    violation under the primary alone in ``conflicts``: the typing
-    violations that ``typing_violations`` reports and the unlicensed arc
-    triples. A secondary assignment leaves a violation in place unless it
+    Built once per primary, over the query's ``_RepairSpace``; the pass that
+    checks the typing under the primary also resolves it. It keeps the node
+    set of every violation under the primary alone in ``conflicts``: the
+    typing violations that ``typing_violations`` reports and the unlicensed
+    arc triples. A secondary assignment leaves a violation in place unless it
     rebinds one of its nodes, so a domain that misses a conflict set cannot
     repair (``can_repair``). On a domain that hits them all, only the
     comestible pairs and arc triples touching a rebound node can change, and
@@ -287,22 +282,13 @@ class _RepairChecker:
     """
 
     def __init__(self, space: _RepairSpace, primary: Mapping[str, str]):
-        graph, hierarchies = space.recipe.graph, space.hierarchies
         typing = dict(space.recipe.typing)
-        self._types = types = dict(space.types)
-        for n, t in primary.items():
-            if n in typing:
-                typing[n] = t
-                h = hierarchies.for_kind(graph.kind_of(n))
-                if t in h:
-                    types[n] = h.resolve(t)
-                else:
-                    types.pop(n, None)
+        typing.update({n: t for n, t in primary.items() if n in typing})
+        violations, types = _resolve_typing(space.recipe.graph, typing, space.hierarchies)
+        self._types = types
         self._space = space
         self._licences = space.licences
-        self.conflicts = [
-            frozenset(v.nodes) for v in typing_violations(graph, typing, hierarchies)
-        ]
+        self.conflicts = [frozenset(v.nodes) for v in violations]
         for triple in space.triples:
             if all(n in types for n in triple) and not self._licences._licensed(
                 tuple(types[n] for n in triple)

@@ -8,6 +8,9 @@ A ``rewrite-seq`` plan is run through ``cli.run`` from a file, which must
 exit 0, 1 or 2.
 Fields are drawn per field shape (list positions folded into ``[*]``), so
 rare shapes such as type aliases are tried as often as recipe arcs.
+Three text-level shapes that no value mutation can reach (nesting too deep
+to decode, an integer past the digit limit, a lone surrogate escape) must
+be SchemaErrors located at the document, and exit 2 through the CLI.
 """
 
 from __future__ import annotations
@@ -30,12 +33,13 @@ from recipegraph.bundle import (
     distances_doc,
     load_corpus,
     parse_bundle,
+    read_json,
     recipe_doc,
     serialize_bundle,
 )
 from recipegraph.cli import run
 from recipegraph.core import build_recipe
-from recipegraph.errors import RecipeError
+from recipegraph.errors import RecipeError, SchemaError
 from recipegraph.typekb import load_distances
 
 BOUNDARY_SETTINGS = settings(
@@ -157,3 +161,45 @@ def test_one_wrong_field_type_raises_only_recipe_errors(name):
             pass
 
     check()
+
+
+# Text-level shapes that the value mutations above cannot reach: json.dumps
+# cannot write the first two, and the third loads as a string that no UTF-8
+# file can hold.
+TEXT_SHAPES = {
+    "deep": lambda doc: "[" * 100_000,
+    "long-number": lambda doc: json.dumps({**doc, "note": 0})[:-2] + "9" * 5000 + "}",
+    "lone-surrogate": lambda doc: json.dumps({**doc, "note": "\ud800"}),
+}
+
+# a request that makes the CLI read each document kind from the file {f}
+CLI_READS = {
+    "bundle": ["validate", "--bundle", "{f}"],
+    "acceptability": ["accept", "boil-atomic", "--accept-file", "{f}"],
+    "distances": ["plan", "boil-atomic", "--missing", "c1", "--distances-file", "{f}"],
+    "recipe": ["roles", "{f}"],
+    "rewrite-plan": ["rewrite-seq", "boil-atomic", "{f}"],
+}
+
+
+@pytest.mark.parametrize("shape", sorted(TEXT_SHAPES))
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
+def test_json_limits_and_lone_surrogates_are_located_schema_errors(name, shape):
+    text = TEXT_SHAPES[shape](DOCUMENTS[name][0]).encode()
+    with pytest.raises(SchemaError) as err:
+        parse_bundle(text) if name == "bundle" else read_json(text, name)
+    assert err.value.path == name
+
+
+@pytest.mark.parametrize("shape", sorted(TEXT_SHAPES))
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
+def test_json_limits_and_lone_surrogates_exit_two_at_the_file(capsys, tmp_path, name, shape):
+    path = tmp_path / "doc.json"
+    path.write_text(TEXT_SHAPES[shape](DOCUMENTS[name][0]), encoding="utf-8")
+    argv = [a.format(f=path) for a in CLI_READS[name]]
+    where = "bundle" if name == "bundle" else str(path)
+    assert run(argv) == 2
+    assert capsys.readouterr().out.startswith(f"{where}: not valid UTF-8 JSON")
+    assert run([*argv, "--format", "json"]) == 2
+    (diagnostic,) = json.loads(capsys.readouterr().out)["diagnostics"]
+    assert diagnostic.startswith(f"{where}: not valid UTF-8 JSON")

@@ -13,6 +13,7 @@ from recipegraph.bundle import (
     export_dot,
     load_corpus,
     parse_bundle,
+    read_json,
     recipe_doc,
     serialize_bundle,
 )
@@ -119,6 +120,12 @@ class TestSchemaChecks:
         doc["recipes"][0]["typing"]["n1"] = "levitating onion"
         with pytest.raises(UnknownReferenceError):
             parse_bundle(json.dumps(doc))
+
+    def test_an_escaped_surrogate_pair_loads_and_a_lone_one_in_a_key_does_not(self):
+        assert read_json(b'{"\\ud83c\\udf45": ["\\ud83c\\udf45"]}', "doc") == {"\U0001f345": ["\U0001f345"]}
+        with pytest.raises(SchemaError) as err:
+            read_json(b'{"ok": {"\\udc00": 1}}', "doc")
+        assert err.value.path == "doc"
 
     def test_bytes_that_are_not_utf8_are_a_located_schema_error(self):
         data = json.dumps(minimal_doc(), ensure_ascii=False).replace("n1", "crème")

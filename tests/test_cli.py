@@ -113,6 +113,16 @@ class TestValidate:
         code, report = run_json(capsys, "validate", "-b", "/nonexistent/bundle.json")
         assert code == 2
 
+    def test_a_lone_surrogate_recipe_id_is_an_input_error_in_both_formats(self, capsys, tmp_path):
+        doc = json.loads(serialize_bundle(load_corpus()))
+        doc["recipes"][0]["id"] = "\ud800soup"
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, human, report = run_both(capsys, "validate", "--bundle", str(path))
+        assert code == 2
+        assert human.startswith("bundle: not valid UTF-8 JSON")
+        assert report["diagnostics"] == [human.rstrip("\n")]
+
     def test_a_typing_violation_alone_is_reported(self, capsys, tmp_path):
         path = bundle_with(tmp_path, TYPING_ONLY)
         code, human, report = run_both(capsys, "validate", "-b", path, "typing-only", "boil-atomic")

@@ -318,3 +318,69 @@ class TestComparabilityMatchesAllPairs:
             typing = self.random_typing(rng, graph, MULTI_PARENT, spellings)
             found += self.assert_same_as_reference(graph, typing, MULTI_PARENT)
         assert found > 0
+
+
+def _with_aliases(h):
+    """``h`` with one extra spelling, the id in capitals, for every type."""
+    from recipegraph.bundle import hierarchy_doc
+
+    doc = hierarchy_doc(h)
+    for entry in doc["types"]:
+        entry["aliases"] = [entry["id"].upper()]
+    return load_hierarchy(doc)
+
+
+ALIASED = Hierarchies(
+    action=_with_aliases(recgen.SYNTH.action), comestible=_with_aliases(recgen.SYNTH.comestible)
+)
+
+
+class TestMakeRecipeAgreesWithTypingViolations:
+    @staticmethod
+    def retype(rng, recipe):
+        """The recipe's typing with a few random faults, in a shuffled order."""
+        typing = dict(recipe.typing)
+        coms = sorted(recipe.graph.comestibles)
+        for _ in range(rng.randint(0, 3)):
+            n = rng.choice(sorted(recipe.graph.nodes))
+            kind = recipe.graph.kind_of(n)
+            other = ALIASED.comestible if kind == "action" else ALIASED.action
+            roll = rng.random()
+            if roll < 0.3:
+                typing[n] = typing.get(n, recipe.typing[n]).upper()  # an alias
+            elif roll < 0.4:
+                typing[n] = rng.choice(sorted(other.types))  # the wrong kind
+            elif roll < 0.5:
+                typing[n] = "no such type"
+            elif roll < 0.6:
+                typing.pop(n, None)  # untyped
+            elif roll < 0.7:
+                typing[f"stray{rng.randrange(3)}"] = rng.choice(sorted(ALIASED.comestible.types))
+            elif len(coms) > 1:
+                c1, c2 = rng.sample(coms, 2)
+                below = recipe.typing[c1].split()[0] + " fine"
+                typing[c2] = rng.choice([recipe.typing[c1], below])  # comparable to c1
+        items = list(typing.items())
+        rng.shuffle(items)
+        return dict(items)
+
+    def test_random_retypings(self):
+        """Either the violations ``typing_violations`` lists, or every type resolved in order."""
+        made = failed = 0
+        for seed in range(400):
+            rng = Random(seed)
+            recipe = recgen.random_recipe(rng, max_actions=5)
+            graph = recipe.graph
+            typing = self.retype(rng, recipe)
+            expected = typing_violations(graph, typing, ALIASED)
+            if expected:
+                with pytest.raises(InvalidRecipeError) as err:
+                    make_recipe(graph, typing, ALIASED)
+                assert list(err.value.violations) == expected
+                failed += 1
+            else:
+                got = make_recipe(graph, typing, ALIASED).typing
+                resolve = {n: ALIASED.for_kind(graph.kind_of(n)).resolve(t) for n, t in typing.items()}
+                assert list(got.items()) == list(resolve.items())
+                made += 1
+        assert made > 50 and failed > 50
