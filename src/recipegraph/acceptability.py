@@ -71,22 +71,25 @@ def accept_set(
     return AcceptabilitySet(tuples=items, policy=policy, depth_limit=depth_limit)
 
 
-def load_acceptability(doc, hierarchies: Hierarchies) -> AcceptabilitySet:
+def load_acceptability(
+    doc, hierarchies: Hierarchies, where: str = "acceptability"
+) -> AcceptabilitySet:
     """Parse ``{"tuples": [[in, act, out], ...], "policy": ..., "depth_limit": ...}``.
 
     A bare JSON array is accepted as shorthand for the ``tuples`` field.
     Type texts are resolved to canonical ids; unknown types are rejected.
+    Faults of shape are located under ``where``.
     """
     if isinstance(doc, list):
         doc = {"tuples": doc}
     if not isinstance(doc, Mapping):
-        raise SchemaError("acceptability", "expected an object or a list of triples")
+        raise SchemaError(where, "expected an object or a list of triples")
     raw = doc.get("tuples", [])
     if not isinstance(raw, list):
-        raise SchemaError("acceptability.tuples", "expected a list")
+        raise SchemaError(f"{where}.tuples", "expected a list")
     tuples = []
     for i, item in enumerate(raw):
-        path = f"acceptability.tuples[{i}]"
+        path = f"{where}.tuples[{i}]"
         if not (isinstance(item, list) and len(item) == 3 and all(isinstance(t, str) for t in item)):
             raise SchemaError(path, "expected an [input, action, output] triple of type names")
         t1, t2, t3 = item
@@ -99,10 +102,10 @@ def load_acceptability(doc, hierarchies: Hierarchies) -> AcceptabilitySet:
         )
     policy = doc.get("policy", "exact")
     if policy not in POLICIES:
-        raise SchemaError("acceptability.policy", f"expected one of {POLICIES}")
+        raise SchemaError(f"{where}.policy", f"expected one of {POLICIES}")
     depth = doc.get("depth_limit", 1)
     if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
-        raise SchemaError("acceptability.depth_limit", "expected a non-negative integer")
+        raise SchemaError(f"{where}.depth_limit", "expected a non-negative integer")
     return accept_set(tuples, policy=policy, depth_limit=depth)
 
 

@@ -77,18 +77,10 @@ def read_json(data: bytes | str, where: str):
     try:
         text = data if isinstance(data, str) else data.decode("utf-8")
         doc = json.loads(text)
-        # UTF-8 bytes decode to no surrogate, so there only an escape can spell one
+        # UTF-8 bytes decode to no surrogate, so there only an escape can spell
+        # one; a lone one survives decoding but not encoding
         if isinstance(data, str) or "\\" in text:
-            stack = [doc]
-            while stack:
-                value = stack.pop()
-                if isinstance(value, str):
-                    value.encode("utf-8")
-                elif isinstance(value, dict):
-                    stack += value
-                    stack += value.values()
-                elif isinstance(value, list):
-                    stack += value
+            json.dumps(doc, ensure_ascii=False).encode("utf-8")
     except (ValueError, RecursionError) as exc:
         raise SchemaError(where, f"not valid UTF-8 JSON: {exc}") from exc
     return doc
@@ -107,11 +99,7 @@ def parse_bundle(data: bytes | str) -> WorkspaceBundle:
     loaded = {}
     for kind in ("action", "comestible"):
         path = f"bundle.hierarchies.{kind}"
-        try:
-            loaded[kind] = load_hierarchy({"kind": kind, **hdoc[kind]})
-        except SchemaError as exc:
-            # load_hierarchy locates faults from "hierarchy"; say which one
-            raise SchemaError(path + exc.path.removeprefix("hierarchy"), exc.reason) from None
+        loaded[kind] = load_hierarchy({"kind": kind, **hdoc[kind]}, path)
         _check(loaded[kind].kind == kind, path, "kind mismatch")
     hierarchies = Hierarchies(**loaded)
 
@@ -135,9 +123,9 @@ def parse_bundle(data: bytes | str) -> WorkspaceBundle:
         raw_recipes[rid] = _parse_recipe_doc(rdoc, path, registry, hierarchies)
 
     accept_doc = doc.get("acceptability", {"tuples": []})
-    acceptability = load_acceptability(accept_doc, hierarchies)
+    acceptability = load_acceptability(accept_doc, hierarchies, "bundle.acceptability")
     dist_doc = doc.get("distances", {"pairs": []})
-    distances = load_distances(dist_doc, hierarchies)
+    distances = load_distances(dist_doc, hierarchies, "bundle.distances")
 
     return WorkspaceBundle(
         hierarchies=hierarchies,

@@ -115,13 +115,13 @@ def _recipe_ref(ws: WorkspaceBundle, ref: str) -> Recipe:
 
 def _accepts(ws: WorkspaceBundle, args):
     if args.accept_file:
-        return load_acceptability(_read_json(args.accept_file), ws.hierarchies)
+        return load_acceptability(_read_json(args.accept_file), ws.hierarchies, args.accept_file)
     return ws.acceptability
 
 
 def _distances(ws: WorkspaceBundle, args):
     if args.distances_file:
-        return load_distances(_read_json(args.distances_file), ws.hierarchies)
+        return load_distances(_read_json(args.distances_file), ws.hierarchies, args.distances_file)
     return ws.distances
 
 

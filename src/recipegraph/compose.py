@@ -49,7 +49,7 @@ def bipartite_union(g1: RecipeGraph, g2: RecipeGraph) -> RecipeGraph:
     """
     conflict = (g1.comestibles & g2.actions) | (g2.comestibles & g1.actions)
     if conflict:
-        raise KindConflictError(tuple(conflict))
+        raise KindConflictError(tuple(sorted(conflict)))
     return RecipeGraph(
         g1.comestibles | g2.comestibles,
         g1.actions | g2.actions,
@@ -206,6 +206,6 @@ def decompose(recipe: Recipe, hierarchies: Hierarchies) -> tuple[Recipe, ...]:
             {(c, a) for c in ins} | {(a, c) for c in outs}
         )
         graph = recipe_graph(comestibles, {a}, arcs)
-        typing = {n: recipe.type_of(n) for n in comestibles | {a}}
+        typing = {n: recipe.type_of(n) for n in sorted(comestibles | {a})}
         pieces.append(make_recipe(graph, typing, hierarchies))
     return tuple(pieces)

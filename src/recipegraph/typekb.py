@@ -56,7 +56,7 @@ class TypeHierarchy:
     (acyclic, single root, no dangling edges, unambiguous aliases). Loading
     is linear in the number of types: a type's up and down distances are
     computed by one breadth-first search the first time a query needs them,
-    and cached on the instance.
+    and cached on the instance with the comparable sets built from them.
     """
 
     def __init__(
@@ -77,6 +77,7 @@ class TypeHierarchy:
         # per type, the least steps up to each ancestor and down to each descendant
         self._up: dict[str, dict[str, int]] = {}
         self._down: dict[str, dict[str, int]] = {}
+        self._comparable: dict[tuple[str, int | None], frozenset[str]] = {}
         self.depth = max(self._down_from(root).values())
 
     def _up_from(self, t: str) -> dict[str, int]:
@@ -123,7 +124,8 @@ class TypeHierarchy:
 
     def comparable(self, t1: str, t2: str) -> bool:
         """True iff one of the two types is an ancestor-or-self of the other."""
-        return self.is_subtype(t1, t2) or self.is_subtype(t2, t1)
+        near = self.comparable_within(t1)
+        return self.resolve(t2) in near
 
     def ancestors(self, t: str, within: int | None = None) -> frozenset[str]:
         """Ancestors of ``t`` including itself, optionally capped at ``within`` steps."""
@@ -138,9 +140,13 @@ class TypeHierarchy:
             return frozenset(dist)
         return frozenset(u for u, d in dist.items() if d <= within)
 
-    def comparable_within(self, t: str, steps: int) -> frozenset[str]:
-        """Types comparable to ``t`` reachable in at most ``steps`` up or down moves."""
-        return self.ancestors(t, steps) | self.descendants(t, steps)
+    def comparable_within(self, t: str, steps: int | None = None) -> frozenset[str]:
+        """Types comparable to ``t`` within ``steps`` up or down moves (None: any), cached."""
+        found = self._comparable.get((t, steps))
+        if found is None:
+            found = self.ancestors(t, steps) | self.descendants(t, steps)
+            self._comparable[t, steps] = found
+        return found
 
     def relatives(self, t: str, radius: int) -> frozenset[str]:
         """Types within ``radius`` steps of ``t`` treating edges as undirected."""
@@ -179,44 +185,43 @@ class Hierarchies:
         return None
 
 
-def load_hierarchy(doc: Mapping) -> TypeHierarchy:
+def load_hierarchy(doc: Mapping, where: str = "hierarchy") -> TypeHierarchy:
     """Build a validated hierarchy from its JSON document form.
 
     The document is ``{"kind", "root", "types": [{"id", "parents", "aliases"}]}``.
     Raises CycleDetectedError, MultipleRootsError, NoRootError,
     DanglingEdgeError, or DuplicateAliasError when the invariants fail, and
-    SchemaError when the document shape is wrong or a type id repeats.
+    SchemaError under ``where`` when the document shape is wrong or a type id repeats.
     """
     if not isinstance(doc, Mapping):
-        raise SchemaError("hierarchy", "expected an object")
+        raise SchemaError(where, "expected an object")
     kind = doc.get("kind")
     if kind not in KINDS:
-        raise SchemaError("hierarchy.kind", f"expected one of {KINDS}, got {kind!r}")
+        raise SchemaError(f"{where}.kind", f"expected one of {KINDS}, got {kind!r}")
     root = doc.get("root")
     if not isinstance(root, str) or not root:
-        raise SchemaError("hierarchy.root", "expected a non-empty string")
+        raise SchemaError(f"{where}.root", "expected a non-empty string")
     entries = doc.get("types")
     if not isinstance(entries, list):
-        raise SchemaError("hierarchy.types", "expected a list")
+        raise SchemaError(f"{where}.types", "expected a list")
 
     parents: dict[str, frozenset[str]] = {}
     aliases: dict[str, str] = {}
     for i, entry in enumerate(entries):
-        path = f"hierarchy.types[{i}]"
         if not isinstance(entry, Mapping):
-            raise SchemaError(path, "expected an object")
+            raise SchemaError(f"{where}.types[{i}]", "expected an object")
         tid = entry.get("id")
         if not isinstance(tid, str) or not tid:
-            raise SchemaError(f"{path}.id", "expected a non-empty string")
+            raise SchemaError(f"{where}.types[{i}].id", "expected a non-empty string")
         if tid in parents:
-            raise SchemaError(f"{path}.id", f"duplicate type id {tid!r}")
+            raise SchemaError(f"{where}.types[{i}].id", f"duplicate type id {tid!r}")
         ps = entry.get("parents", [])
         if not isinstance(ps, list) or not all(isinstance(p, str) for p in ps):
-            raise SchemaError(f"{path}.parents", "expected a list of strings")
+            raise SchemaError(f"{where}.types[{i}].parents", "expected a list of strings")
         parents[tid] = frozenset(ps)
         names = entry.get("aliases", [])
         if not isinstance(names, list) or not all(isinstance(a, str) for a in names):
-            raise SchemaError(f"{path}.aliases", "expected a list of strings")
+            raise SchemaError(f"{where}.types[{i}].aliases", "expected a list of strings")
         for alias in names:
             if alias in aliases and aliases[alias] != tid:
                 raise DuplicateAliasError(alias, (aliases[alias], tid))
@@ -333,24 +338,24 @@ class DistanceModel:
         return best / max(1, hierarchy.depth)
 
 
-def load_distances(doc, hierarchies: Hierarchies) -> DistanceModel:
+def load_distances(doc, hierarchies: Hierarchies, where: str = "distances") -> DistanceModel:
     """Parse a distance document ``{"pairs": [[t1, t2, d], ...], "generalization_penalty": x}``.
 
     A bare JSON array is accepted as shorthand for the ``pairs`` field. Both
     types of a pair must live in the same hierarchy, and distances,
     ``step_cost`` and ``generalization_penalty`` must be finite non-negative
-    numbers.
+    numbers. Faults are located under ``where``.
     """
     if isinstance(doc, list):
         doc = {"pairs": doc}
     if not isinstance(doc, Mapping):
-        raise SchemaError("distances", "expected an object or a list of triples")
+        raise SchemaError(where, "expected an object or a list of triples")
     pairs = doc.get("pairs", [])
     if not isinstance(pairs, list):
-        raise SchemaError("distances.pairs", "expected a list")
+        raise SchemaError(f"{where}.pairs", "expected a list")
     table: dict[tuple[str, str], float] = {}
     for i, item in enumerate(pairs):
-        path = f"distances.pairs[{i}]"
+        path = f"{where}.pairs[{i}]"
         if not (isinstance(item, list) and len(item) == 3):
             raise SchemaError(path, "expected a [t1, t2, d] triple")
         t1, t2, d = item
@@ -365,9 +370,9 @@ def load_distances(doc, hierarchies: Hierarchies) -> DistanceModel:
             raise UnknownReferenceError(f"{path}: type {t2!r} is not in the {kind} hierarchy")
         table[DistanceModel.key(h.resolve(t1), h.resolve(t2))] = d
     penalty = _non_negative(
-        doc.get("generalization_penalty", 2.0), "distances.generalization_penalty"
+        doc.get("generalization_penalty", 2.0), f"{where}.generalization_penalty"
     )
-    step = _non_negative(doc.get("step_cost", 1.0), "distances.step_cost")
+    step = _non_negative(doc.get("step_cost", 1.0), f"{where}.step_cost")
     return DistanceModel(table=table, generalization_penalty=penalty, step_cost=step)
 
 

@@ -120,10 +120,7 @@ def cost(
     for n, t in sorted(bindings.items()):
         if n not in recipe.typing:
             continue
-        kind = recipe.graph.kind_of(n)
-        h = hierarchies.for_kind(kind)
-        if t not in h:
-            raise UnknownTypeError(t, kind)
+        h = hierarchies.for_kind(recipe.graph.kind_of(n))
         terms.append(model.distances.distance(h, recipe.type_of(n), t))
     if not terms:
         return 0.0
@@ -192,7 +189,8 @@ class _RepairSpace(Mapping):
     holds what does not depend on the primary: one licence cache, the arc
     triples and the triples at each node, and each pool's candidates that
     name a type of the node's kind, resolved, each with the types it is
-    comparable to when the node is a comestible.
+    comparable to (``TypeHierarchy.comparable_within``) when the node is a
+    comestible.
     """
 
     def __init__(
@@ -216,7 +214,6 @@ class _RepairSpace(Mapping):
         self.licences = _Licences(accepts, hierarchies)
         self._pools: dict[str, Sequence[str]] = {}
         self._resolved: dict[str, list[tuple[str, str, frozenset[str] | None]]] = {}
-        self._near: dict[str, frozenset[str]] = {}
         self.triples = arc_triples(recipe)
         self.triples_at: dict[str, list[tuple[str, str, str]]] = {}
         for triple in self.triples:
@@ -240,14 +237,6 @@ class _RepairSpace(Mapping):
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def comparable_to(self, t: str) -> frozenset[str]:
-        """The comestible types comparable to the comestible type ``t``."""
-        near = self._near.get(t)
-        if near is None:
-            h = self.hierarchies.comestible
-            near = self._near[t] = h.ancestors(t) | h.descendants(t)
-        return near
-
     def resolved(self, n: str) -> list[tuple[str, str, frozenset[str] | None]]:
         """``(text, type, comparable types)`` per candidate of ``n`` naming a type of its kind.
 
@@ -262,7 +251,7 @@ class _RepairSpace(Mapping):
             for text in self[n]:
                 if text in h:
                     t = h.resolve(text)
-                    found.append((text, t, self.comparable_to(t) if comestible else None))
+                    found.append((text, t, h.comparable_within(t) if comestible else None))
         return found
 
 
@@ -372,8 +361,9 @@ class _RepairChecker:
 
     def _fits(self, chosen: list[str], coms: list[int], shared: list) -> bool:
         """True when one type per domain position passes the pairs and shared triples."""
+        h = self._space.hierarchies.comestible
         for k, i in enumerate(coms):
-            near = self._space.comparable_to(chosen[i])
+            near = h.comparable_within(chosen[i])
             if any(chosen[j] in near for j in coms[k + 1:]):
                 return False
         return all(

@@ -145,7 +145,13 @@ class TestSchemaChecks:
         doc = minimal_doc(acceptability={"tuples": [[element, "fry", "fried onion"]]})
         with pytest.raises(SchemaError) as err:
             parse_bundle(json.dumps(doc))
-        assert err.value.path == "acceptability.tuples[0]"
+        assert err.value.path == "bundle.acceptability.tuples[0]"
+
+    def test_a_distance_fault_is_located_in_the_bundle(self):
+        doc = minimal_doc(distances={"pairs": [["raw onion", "fried onion", -1]]})
+        with pytest.raises(SchemaError) as err:
+            parse_bundle(json.dumps(doc))
+        assert err.value.path == "bundle.distances.pairs[0]"
 
     @pytest.mark.parametrize("kind", ["action", "comestible"])
     def test_hierarchy_that_is_not_an_object_is_a_located_schema_error(self, kind):

@@ -339,7 +339,7 @@ class TestAcceptAndPlan:
         accept.write_text(json.dumps([[["x"], "fry", "fried onion"]]))
         code, report = run_json(capsys, "accept", "fry-onion", "--accept-file", str(accept))
         assert code == 2
-        assert report["diagnostics"][0].startswith("acceptability.tuples[0]: ")
+        assert report["diagnostics"][0].startswith(f"{accept}.tuples[0]: ")
 
     def test_substitute_rewrites_typing(self, capsys, bundle_path):
         code, report = run_json(
@@ -359,6 +359,24 @@ class TestAcceptAndPlan:
         assert (
             run(["substitute", "-b", bundle_path, "carrot-soup", "--bind", "c2=raw carrot"]) == 2
         )
+
+    @pytest.mark.parametrize(
+        "binds, message",
+        [
+            (["c1"], "--bind expects node=type, got 'c1'"),
+            (["c1=raw onion", "c1=raw carrot"], "node 'c1' bound twice"),
+        ],
+    )
+    def test_a_malformed_or_repeated_binding_is_an_input_error(self, capsys, binds, message):
+        argv = ["substitute", "carrot-soup"]
+        for bind in binds:
+            argv += ["--bind", bind]
+        code, human, report = run_both(capsys, *argv)
+        assert code == 2
+        assert human == message + "\n"
+        assert report["status"] == "error"
+        assert report["data"] == {}
+        assert report["diagnostics"] == [message]
 
     def test_plan_picks_the_cheapest_pasta(self, capsys, bundle_path):
         code, report = run_json(
@@ -384,6 +402,21 @@ class TestAcceptAndPlan:
         )
         assert code == 0
         assert report["data"]["primary"] == {"c1": "tagliatelle"}
+
+    def test_plan_with_a_secondary_set_in_both_formats(self, capsys):
+        code, human, report = run_both(capsys, "plan", "fresh-spaghetti", "--missing", "c1")
+        assert code == 0
+        assert human == (
+            "cost: 0.25\n"
+            "primary:   c1 -> dried spaghetti\n"
+            "secondary: a1 -> boil spaghetti for 11 minutes\n"
+        )
+        assert report["data"] == {
+            "found": True,
+            "primary": {"c1": "dried spaghetti"},
+            "secondary": {"a1": "boil spaghetti for 11 minutes"},
+            "cost": 0.25,
+        }
 
     def test_plan_without_candidates_is_negative(self, capsys, bundle_path, tmp_path):
         accept = tmp_path / "accept.json"
@@ -417,7 +450,7 @@ class TestAcceptAndPlan:
             "--distances-file", str(distances),
         )
         assert code == 2
-        assert report["diagnostics"][0].startswith("distances.pairs[0]: ")
+        assert report["diagnostics"][0].startswith(f"{distances}.pairs[0]: ")
 
     def test_budget_exhaustion_exits_three(self, capsys, bundle_path):
         code, report = run_json(
@@ -620,6 +653,40 @@ class TestRewriteCommands:
         assert report["data"]["acceptable"] is True
         assert report["data"]["recipe"]["typing"]["c8"] == "spaghetti bolognese"
 
+    def test_rewrite_seq_with_a_failing_step_is_negative(self, capsys, tmp_path):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"primary": [{"remove": "fry-onion", "insert": "fry-onion-alt"}]}))
+        code, human, report = run_both(capsys, "rewrite-seq", "hummus", str(plan))
+        message = (
+            "structural substitution failed at step 0: condition iii: the removed part is not"
+            " an untrimmed subrecipe of the host; condition iv: replacement reuses node ids"
+            " of the kept part | nodes c4"
+        )
+        assert code == 1
+        assert human == message + "\n"
+        assert report["status"] == "negative"
+        assert report["diagnostics"] == [message]
+        assert report["data"]["applied"] is False
+        assert report["data"]["failed_step"] == 0
+        assert [v["condition"] for v in report["data"]["violations"]] == ["iii", "iv"]
+
+    def test_rewrite_seq_with_an_unacceptable_result_is_negative(self, capsys, tmp_path, corpus):
+        from recipegraph.bundle import recipe_doc
+
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"primary": [], "check_acceptability": True}))
+        code, human, report = run_both(capsys, "rewrite-seq", "fry-onion", str(plan))
+        message = "(c1, a1, c2) typed (raw onion, fry, fried onion) is not licensed"
+        assert code == 1
+        assert human == message + "\n"
+        assert report["status"] == "negative"
+        assert report["diagnostics"] == [message]
+        assert report["data"] == {
+            "applied": True,
+            "acceptable": False,
+            "recipe": recipe_doc(corpus.recipe("fry-onion")),
+        }
+
     def test_recipe_document_that_is_a_list_is_an_input_error(self, capsys, tmp_path):
         doc = tmp_path / "list.json"
         doc.write_text("[1, 2]")
@@ -698,6 +765,25 @@ class TestUnreadableFiles:
             assert report["status"] == "error"
             (diagnostic,) = report["diagnostics"]
             assert diagnostic.startswith(f"{side}: not valid UTF-8 JSON"), argv
+
+    @pytest.mark.parametrize(
+        "option, document, located",
+        [
+            ("--accept-file", {"tuples": "fry"}, ".tuples: expected a list"),
+            ("--distances-file", {"step_cost": -1}, ".step_cost: expected a finite non-negative number"),
+        ],
+        ids=["accept", "distances"],
+    )
+    def test_a_side_file_fault_is_located_at_the_file(
+        self, capsys, tmp_path, option, document, located
+    ):
+        side = tmp_path / "side.json"
+        side.write_text(json.dumps(document))
+        argv = ["plan", "spaghetti-pasata", "--missing", "spaghetti", option, str(side)]
+        code, human, report = run_both(capsys, *argv)
+        assert code == 2
+        assert human == f"{side}{located}\n"
+        assert report["diagnostics"] == [f"{side}{located}"]
 
 
 class TestExportDot:

@@ -335,6 +335,87 @@ class TestBijectionSearchMatchesReference:
         assert witness.as_dict() == found
 
 
+def _split_and_rejoin(prefix: str, act: str, types: dict[str, str], hierarchies) -> Recipe:
+    """Two inputs into one action with two outputs; each output and one input feed another action.
+
+    Nodes ``{prefix}1`` .. ``{prefix}6`` are comestibles and ``{act}1`` ..
+    ``{act}3`` actions. Input 1 feeds action 2 with output 3, and input 2
+    feeds action 3 with output 4, so both inputs, both outputs of action 1
+    and actions 2 and 3 fall into pairs that no unfolding class separates.
+    """
+    c = {i: f"{prefix}{i}" for i in range(1, 7)}
+    a = {i: f"{act}{i}" for i in range(1, 4)}
+    arcs = [
+        (c[1], a[1]), (c[2], a[1]), (a[1], c[3]), (a[1], c[4]),
+        (c[3], a[2]), (c[1], a[2]), (a[2], c[5]),
+        (c[4], a[3]), (c[2], a[3]), (a[3], c[6]),
+    ]
+    return build_recipe(c.values(), a.values(), arcs, types, hierarchies)
+
+
+class TestBijectionSearchBacktracks:
+    """``more_specific`` pairs whose first candidates pass every label check but lead nowhere.
+
+    Each input and each output of action 1 on the left may map to either of
+    its two counterparts on the right, and the hierarchy gives the right
+    side the more general types.
+    """
+
+    @pytest.fixture()
+    def hierarchies(self):
+        def doc(kind, root, parents):
+            types = [{"id": root}] + [{"id": t, "parents": ps} for t, ps in parents.items()]
+            return {"kind": kind, "root": root, "types": types}
+
+        general = ["in-a", "in-b", "mid-a", "mid-b", "out-a", "out-b"]
+        comestibles = dict.fromkeys(general, ["food"]) | {
+            "z-one": ["in-a", "in-b"], "z-two": ["in-a", "in-b"],
+            "m-one": ["mid-a", "mid-b"], "m-two": ["mid-a", "mid-b"],
+        }
+        actions = dict.fromkeys(["mix", "fry", "boil"], ["act"])
+        return Hierarchies(
+            action=load_hierarchy(doc("action", "act", actions)),
+            comestible=load_hierarchy(doc("comestible", "food", comestibles)),
+        )
+
+    def general(self, hierarchies):
+        # input d1 feeds b2 with d3: the sorted first choice for c1, and then
+        # for c3, is the wrong one
+        types = {
+            "d1": "in-a", "d2": "in-b", "d3": "mid-a", "d4": "mid-b", "d5": "out-b", "d6": "out-a",
+            "b1": "mix", "b2": "boil", "b3": "fry",
+        }
+        return _split_and_rejoin("d", "b", types, hierarchies)
+
+    def specific(self, hierarchies, third_action: str):
+        types = {
+            "c1": "z-one", "c2": "z-two", "c3": "m-one", "c4": "m-two", "c5": "out-a",
+            "c6": "out-b", "a1": "mix", "a2": "fry", "a3": third_action,
+        }
+        return _split_and_rejoin("c", "a", types, hierarchies)
+
+    def test_a_search_that_fails_an_arc_check_and_backtracks(self, hierarchies):
+        r1, r2 = self.specific(hierarchies, "boil"), self.general(hierarchies)
+        _assert_same_as_reference(r1, r2, hierarchies)
+        witness = more_specific(r1, r2, hierarchies)
+        assert witness is not None
+        assert witness.as_dict() == {
+            "a1": "b1", "a2": "b3", "a3": "b2", "c1": "d2", "c2": "d1",
+            "c3": "d4", "c4": "d3", "c5": "d6", "c6": "d5",
+        }
+        with pytest.raises(BudgetExceededError):
+            more_specific(r1, r2, hierarchies, budget=len(r1.graph.nodes))
+
+    def test_a_search_that_runs_out_of_candidates(self, hierarchies):
+        # both fry actions fit only the one fry action on the right
+        r1, r2 = self.specific(hierarchies, "fry"), self.general(hierarchies)
+        _assert_same_as_reference(r1, r2, hierarchies)
+        assert more_specific(r1, r2, hierarchies) is None
+        # the class and label checks pass, so the search itself says no
+        with pytest.raises(BudgetExceededError):
+            more_specific(r1, r2, hierarchies, budget=1)
+
+
 def _flat_hierarchies(n_comestible_types: int) -> Hierarchies:
     def flat(kind, root, leaves):
         types = [{"id": root, "parents": []}] + [{"id": t, "parents": [root]} for t in leaves]

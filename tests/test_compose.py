@@ -146,6 +146,37 @@ class TestCompose:
         assert result.conditions == {"result"}
         assert any("x3" in v.nodes for v in result.violations)
 
+    def test_a_glue_node_typed_differently_on_each_side_fails_condition_5(
+        self, corpus, hierarchies
+    ):
+        from recipegraph.typesubst import apply_substitution
+
+        drain = apply_substitution(corpus.recipe("drain-chain"), {"c2": "pasta water"}, hierarchies)
+        result = compose(corpus.recipe("boil-chain"), drain, hierarchies)
+        assert isinstance(result, CompositionFailure)
+        [violation] = result.violations
+        assert violation.condition == "5"
+        assert violation.nodes == ("c2",)
+        assert violation.types == ("cooked spaghetti", "pasta water")
+
+    def test_a_shared_input_typed_differently_is_a_typing_failure(self, corpus, hierarchies):
+        from recipegraph.core import build_recipe
+
+        # c2 is an input of both recipes, so no condition constrains its type
+        drain = build_recipe(
+            {"c2", "c3", "c4"},
+            {"a2"},
+            [("c2", "a2"), ("c3", "a2"), ("a2", "c4")],
+            {"c2": "water", "c3": "cooked spaghetti", "a2": "drain and pour in bowl",
+             "c4": "spaghetti in bowl"},
+            hierarchies,
+        )
+        result = compose(corpus.recipe("boil-atomic"), drain, hierarchies)
+        assert isinstance(result, CompositionFailure)
+        [violation] = result.violations
+        assert violation.condition == "typing"
+        assert violation.nodes == ("c2",)
+
     def test_cross_kind_node_reuse_is_an_error(self, corpus, hierarchies):
         from recipegraph.core import build_recipe
 
@@ -204,6 +235,15 @@ class TestClosure:
             compose_closure(seeds, hierarchies, max_recipes=4)
         assert len(err.value.partial) >= 4
 
+    def test_a_seed_set_past_the_limit_is_reported_before_any_composition(
+        self, corpus, hierarchies
+    ):
+        seeds = [corpus.recipe("peas-freeze"), corpus.recipe("peas-thaw")]
+        with pytest.raises(ClosureLimitError) as err:
+            compose_closure(seeds, hierarchies, max_recipes=1)
+        assert str(err.value) == "seed set already exceeds max_recipes"
+        assert err.value.partial == frozenset(seeds)
+
     def test_node_limit_is_reported(self, corpus, hierarchies):
         seeds = [corpus.recipe("peas-freeze"), corpus.recipe("peas-thaw")]
         with pytest.raises(ClosureLimitError):
@@ -244,3 +284,45 @@ class TestDecompose:
             recipe = corpus.recipe(rid)
             closed = compose_closure(decompose(recipe, hierarchies), hierarchies)
             assert recipe in closed, rid
+
+
+HASH_SEED_SCRIPT = """
+from recipegraph.bundle import load_corpus
+from recipegraph.compose import bipartite_union, decompose
+from recipegraph.core import recipe_graph
+from recipegraph.errors import KindConflictError
+
+ws = load_corpus()
+for rid in ("spaghetti-pasata", "vegetable-soup"):
+    print([list(p.typing) for p in decompose(ws.recipe(rid), ws.hierarchies)])
+ids = [f"n{i}" for i in range(8)]
+try:
+    bipartite_union(recipe_graph(ids, ["a"], []), recipe_graph(["c"], ids, []))
+except KindConflictError as exc:
+    print(exc.nodes)
+"""
+
+
+def test_decompose_and_kind_conflicts_do_not_depend_on_the_hash_seed():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import recipegraph
+
+    src = str(Path(recipegraph.__file__).resolve().parents[1])
+    outputs = set()
+    for seed in ("0", "1", "2"):
+        env = {
+            **os.environ,
+            "PYTHONHASHSEED": seed,
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        }
+        done = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_SCRIPT],
+            capture_output=True, env=env, timeout=60, check=True,
+        )
+        outputs.add(done.stdout)
+    assert len(outputs) == 1
+    assert b"('n0', 'n1', 'n2', 'n3', 'n4', 'n5', 'n6', 'n7')" in outputs.pop()

@@ -42,6 +42,11 @@ class TestValidateRecipeGraph:
         assert "1" in found
         assert found <= {"1", "4"}  # the arcless action also trips condition 4
 
+    def test_an_id_used_as_both_kinds_is_condition_2(self):
+        g = recipe_graph({"n1", "c2"}, {"n1", "a1"}, {("n1", "a1"), ("a1", "c2")})
+        found = [v for v in validate_recipe_graph(g) if v.condition == "2"]
+        assert [(v.message, v.nodes) for v in found] == [("node ids used as both kinds", ("n1",))]
+
     def test_comestible_to_comestible_arc_is_condition_2(self):
         g = recipe_graph({"c1", "c2", "c3"}, {"a1"}, {("c1", "a1"), ("a1", "c3"), ("c1", "c2"), ("c2", "a1")})
         assert "2" in conditions(validate_recipe_graph(g))

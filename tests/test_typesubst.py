@@ -248,6 +248,22 @@ class TestPreferredPair:
         assert dict(pair.primary) == {"c1": "tagliatelle"}
         assert dict(pair.secondary) == {"a1": "boil spaghetti for 11 minutes"}
 
+    @pytest.mark.parametrize(
+        "unavailable, pool",
+        [(["c1"], []), (["spaghetti"], ["dried spaghetti"])],
+        ids=["no-candidates", "every-candidate-banned"],
+    )
+    def test_a_missing_node_with_an_empty_pool_has_no_pair(
+        self, corpus, hierarchies, unavailable, pool
+    ):
+        recipe = corpus.recipe("fresh-spaghetti")
+        model = CostModel(distances=corpus.distances)
+        pair = preferred_pair(
+            recipe, unavailable, corpus.acceptability, model, hierarchies,
+            candidates={"c1": pool},
+        )
+        assert pair is None
+
     def test_unavailable_with_no_candidates_returns_none(self, corpus, hierarchies):
         recipe = corpus.recipe("fresh-spaghetti")
         model = CostModel(distances=corpus.distances)
