@@ -46,15 +46,11 @@ from .core import (
     RecipeGraph,
     RoleSets,
     Violation,
-    acts,
-    arcs,
     build_recipe,
-    coms,
     inputs_types,
     is_atomic,
     leq,
     make_recipe,
-    nodes,
     outputs_types,
     recipe_graph,
     roles,

@@ -213,18 +213,16 @@ def hierarchy_doc(h: TypeHierarchy) -> dict:
     }
 
 
-def recipe_doc(recipe: Recipe | RawRecipe, recipe_id: str | None = None) -> dict:
-    """Canonical document form of a recipe (or raw recipe)."""
-    if recipe_id is None and isinstance(recipe, RawRecipe):
-        recipe_id = recipe.id
+def recipe_doc(recipe: Recipe | RawRecipe) -> dict:
+    """Canonical document form of a recipe (or raw recipe, led by its id)."""
     doc = {
         "comestibles": sorted(recipe.graph.comestibles),
         "actions": sorted(recipe.graph.actions),
         "arcs": [[s, t] for s, t in sorted(recipe.graph.arcs)],
         "typing": {n: recipe.typing[n] for n in sorted(recipe.typing)},
     }
-    if recipe_id is not None:
-        doc = {"id": recipe_id, **doc}
+    if isinstance(recipe, RawRecipe):
+        doc = {"id": recipe.id, **doc}
     return doc
 
 

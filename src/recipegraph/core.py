@@ -412,22 +412,6 @@ def roles(recipe: Recipe | RecipeGraph) -> RoleSets:
     return RoleSets(inputs, outputs, mids)
 
 
-def coms(recipe: Recipe) -> frozenset[str]:
-    return recipe.graph.comestibles
-
-
-def acts(recipe: Recipe) -> frozenset[str]:
-    return recipe.graph.actions
-
-
-def nodes(recipe: Recipe) -> frozenset[str]:
-    return recipe.graph.nodes
-
-
-def arcs(recipe: Recipe) -> frozenset[Arc]:
-    return recipe.graph.arcs
-
-
 def inputs_types(recipe: Recipe) -> frozenset[str]:
     return frozenset(recipe.type_of(n) for n in roles(recipe).inputs)
 

@@ -102,14 +102,11 @@ def structural_substitute(
     part: Recipe,
     replacement: Recipe,
     hierarchies: Hierarchies,
-    allow_empty_front: bool = True,
 ) -> Recipe | RewriteFailure:
     """Replace ``part`` inside ``host`` by ``replacement``.
 
     Checks side conditions i-v, reporting all of them on failure, and
-    re-validates the assembled result. ``allow_empty_front=False`` is a
-    policy switch that additionally rejects whole-recipe swaps and other
-    substitutions that touch none of the host's interior seams.
+    re-validates the assembled result.
     """
     violations: list[Violation] = []
 
@@ -133,10 +130,6 @@ def structural_substitute(
         if not _parallel_at(fr, part, replacement):
             violations.append(
                 Violation("ii", "replacement arcs do not match the part's directions at the front")
-            )
-        if not allow_empty_front and not fr:
-            violations.append(
-                Violation("policy", "empty-front substitutions are disabled")
             )
 
     kept = host.graph.nodes - part.graph.nodes
@@ -185,7 +178,6 @@ def apply_sequence(
     host: Recipe,
     steps: Sequence[RewriteStep],
     hierarchies: Hierarchies,
-    allow_empty_front: bool = True,
 ) -> Recipe | RewriteFailure:
     """Left-to-right fold of structural substitutions.
 
@@ -194,9 +186,7 @@ def apply_sequence(
     """
     current = host
     for i, step in enumerate(steps):
-        result = structural_substitute(
-            current, step.remove, step.insert, hierarchies, allow_empty_front
-        )
+        result = structural_substitute(current, step.remove, step.insert, hierarchies)
         if isinstance(result, RewriteFailure):
             return replace(result, step=i)
         current = result

@@ -114,9 +114,6 @@ class TypeHierarchy:
     def parents(self, t: str) -> frozenset[str]:
         return self._parents[self.resolve(t)]
 
-    def children(self, t: str) -> frozenset[str]:
-        return frozenset(self._children[self.resolve(t)])
-
     def is_subtype(self, t1: str, t2: str) -> bool:
         """True iff ``t1`` equals ``t2`` or sits below it in the hierarchy."""
         t1, t2 = self.resolve(t1), self.resolve(t2)
@@ -230,8 +227,6 @@ def load_hierarchy(doc: Mapping, where: str = "hierarchy") -> TypeHierarchy:
     for alias, target in aliases.items():
         if alias in parents and alias != target:
             raise DuplicateAliasError(alias, (alias, target))
-        if target not in parents:
-            raise DanglingEdgeError(alias, target)
     for t, ps in parents.items():
         for p in ps:
             if p not in parents:
@@ -246,8 +241,6 @@ def load_hierarchy(doc: Mapping, where: str = "hierarchy") -> TypeHierarchy:
         raise NoRootError(f"declared root {root!r} is not among the types")
     if len(parentless) > 1:
         raise MultipleRootsError(tuple(parentless))
-    if not parentless:
-        raise NoRootError("every type has a parent; no maximal node exists")
     if parentless != [root]:
         raise NoRootError(f"declared root {root!r} has parents; maximal node is {parentless[0]!r}")
 

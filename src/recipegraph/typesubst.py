@@ -131,7 +131,6 @@ def default_candidates(
     recipe: Recipe,
     accepts: AcceptabilitySet,
     hierarchies: Hierarchies,
-    radius: int = DEFAULT_RADIUS,
     exclude: Iterable[str] = (),
 ) -> dict[str, list[str]]:
     """Candidate replacement types per node: tuple-slot types plus nearby relatives.
@@ -139,10 +138,10 @@ def default_candidates(
     For an action node the pool is every action type occurring in the tuple
     set; for a comestible it is the input-slot types when the node feeds an
     action, plus the output-slot types when it is produced by one. Relatives
-    of the node's current type within ``radius`` undirected steps are added.
-    The node's current type is dropped (rebinding to it is a no-op).
+    of the node's current type within ``DEFAULT_RADIUS`` undirected steps are
+    added. The node's current type is dropped (rebinding to it is a no-op).
     """
-    pool = _pool_rule(recipe, accepts, hierarchies, radius, exclude)
+    pool = _pool_rule(recipe, accepts, hierarchies, exclude)
     return {n: pool(n) for n in sorted(recipe.graph.nodes)}
 
 
@@ -150,7 +149,6 @@ def _pool_rule(
     recipe: Recipe,
     accepts: AcceptabilitySet,
     hierarchies: Hierarchies,
-    radius: int = DEFAULT_RADIUS,
     exclude: Iterable[str] = (),
 ) -> Callable[[str], list[str]]:
     """The pool of ``default_candidates`` as a function of the node, one pool per call."""
@@ -171,7 +169,7 @@ def _pool_rule(
             if graph.in_degree(n) > 0:
                 found.update(out_slot)
             h = hierarchies.comestible
-        found.update(h.relatives(recipe.type_of(n), radius))
+        found.update(h.relatives(recipe.type_of(n), DEFAULT_RADIUS))
         found.discard(recipe.type_of(n))
         found -= excluded
         return sorted(found)

@@ -127,15 +127,6 @@ class TestStructuralSubstitute:
         result = structural_substitute(host, host, other, corpus.hierarchies)
         assert result == other
 
-    def test_empty_front_policy_flag(self, corpus):
-        host = corpus.recipe("hummus")
-        other = corpus.recipe("vegetable-soup")
-        result = structural_substitute(
-            host, host, other, corpus.hierarchies, allow_empty_front=False
-        )
-        assert isinstance(result, RewriteFailure)
-        assert "policy" in result.conditions
-
     def test_trimmed_part_fails_condition_iii(self, corpus, induced):
         host = corpus.recipe("spaghetti-pasata")
         partial = induced(host, {"c3", "a2", "c5"})
