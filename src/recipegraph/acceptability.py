@@ -77,8 +77,8 @@ def load_acceptability(
     """Parse ``{"tuples": [[in, act, out], ...], "policy": ..., "depth_limit": ...}``.
 
     A bare JSON array is accepted as shorthand for the ``tuples`` field.
-    Type texts are resolved to canonical ids; unknown types are rejected.
-    Faults of shape are located under ``where``.
+    Type texts are resolved to canonical ids. Faults of shape and unknown
+    types are located under ``where``.
     """
     if isinstance(doc, list):
         doc = {"tuples": doc}
@@ -95,9 +95,9 @@ def load_acceptability(
         t1, t2, t3 = item
         tuples.append(
             AcceptTuple(
-                hierarchies.comestible.resolve(t1),
-                hierarchies.action.resolve(t2),
-                hierarchies.comestible.resolve(t3),
+                hierarchies.comestible.resolve_at(t1, path),
+                hierarchies.action.resolve_at(t2, path),
+                hierarchies.comestible.resolve_at(t3, path),
             )
         )
     policy = doc.get("policy", "exact")

@@ -181,16 +181,11 @@ def _parse_recipe_doc(
             raise UnknownReferenceError(f"{path}.arcs[{j}]: endpoint outside the recipe's nodes")
 
     canonical_typing: dict[str, str] = {}
+    where = f"{path}.typing"
     for n, t in typing.items():
         if n not in node_set:
-            raise UnknownReferenceError(f"{path}.typing: node {n!r} is not in the recipe")
-        kind = registry[n]
-        h = hierarchies.for_kind(kind)
-        if t not in h:
-            raise UnknownReferenceError(
-                f"{path}.typing: type {t!r} is not in the {kind} hierarchy"
-            )
-        canonical_typing[n] = h.resolve(t)
+            raise UnknownReferenceError(f"{where}: node {n!r} is not in the recipe")
+        canonical_typing[n] = hierarchies.for_kind(registry[n]).resolve_at(t, where)
 
     return RawRecipe(id=rdoc["id"], graph=recipe_graph(coms, acts, arcs), typing=canonical_typing)
 

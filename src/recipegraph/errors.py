@@ -24,18 +24,21 @@ class UnknownReferenceError(RecipeError):
 
 
 class HierarchyError(RecipeError):
-    """Base class for type-hierarchy load failures."""
+    """Base class for type-hierarchy load failures.
+
+    The message starts with ``where``, the location of the hierarchy document.
+    """
 
 
 class CycleDetectedError(HierarchyError):
-    def __init__(self, cycle: tuple[str, ...]):
-        super().__init__("hierarchy contains a cycle: " + " -> ".join(cycle))
+    def __init__(self, cycle: tuple[str, ...], where: str):
+        super().__init__(f"{where}: hierarchy contains a cycle: " + " -> ".join(cycle))
         self.cycle = cycle
 
 
 class MultipleRootsError(HierarchyError):
-    def __init__(self, roots: tuple[str, ...]):
-        super().__init__("hierarchy has multiple parentless nodes: " + ", ".join(roots))
+    def __init__(self, roots: tuple[str, ...], where: str):
+        super().__init__(f"{where}: hierarchy has multiple parentless nodes: " + ", ".join(roots))
         self.roots = roots
 
 
@@ -44,15 +47,17 @@ class NoRootError(HierarchyError):
 
 
 class DanglingEdgeError(HierarchyError):
-    def __init__(self, child: str, parent: str):
-        super().__init__(f"edge {child!r} -> {parent!r} points outside the hierarchy")
+    def __init__(self, child: str, parent: str, where: str):
+        super().__init__(f"{where}: edge {child!r} -> {parent!r} points outside the hierarchy")
         self.child = child
         self.parent = parent
 
 
 class DuplicateAliasError(HierarchyError):
-    def __init__(self, alias: str, targets: tuple[str, ...]):
-        super().__init__(f"alias {alias!r} is claimed by more than one type: " + ", ".join(targets))
+    def __init__(self, alias: str, targets: tuple[str, ...], where: str):
+        super().__init__(
+            f"{where}: alias {alias!r} is claimed by more than one type: " + ", ".join(targets)
+        )
         self.alias = alias
         self.targets = targets
 

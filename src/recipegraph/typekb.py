@@ -111,6 +111,15 @@ class TypeHierarchy:
             return self._aliases[text]
         raise UnknownTypeError(text, self.kind)
 
+    def resolve_at(self, text: str, where: str) -> str:
+        """``resolve``, with an unknown text reported as an UnknownReferenceError at ``where``."""
+        try:
+            return self.resolve(text)
+        except UnknownTypeError:
+            raise UnknownReferenceError(
+                f"{where}: type {text!r} is not in the {self.kind} hierarchy"
+            ) from None
+
     def parents(self, t: str) -> frozenset[str]:
         return self._parents[self.resolve(t)]
 
@@ -188,7 +197,8 @@ def load_hierarchy(doc: Mapping, where: str = "hierarchy") -> TypeHierarchy:
     The document is ``{"kind", "root", "types": [{"id", "parents", "aliases"}]}``.
     Raises CycleDetectedError, MultipleRootsError, NoRootError,
     DanglingEdgeError, or DuplicateAliasError when the invariants fail, and
-    SchemaError under ``where`` when the document shape is wrong or a type id repeats.
+    SchemaError when the document shape is wrong or a type id repeats; every
+    message starts with ``where``.
     """
     if not isinstance(doc, Mapping):
         raise SchemaError(where, "expected an object")
@@ -221,28 +231,30 @@ def load_hierarchy(doc: Mapping, where: str = "hierarchy") -> TypeHierarchy:
             raise SchemaError(f"{where}.types[{i}].aliases", "expected a list of strings")
         for alias in names:
             if alias in aliases and aliases[alias] != tid:
-                raise DuplicateAliasError(alias, (aliases[alias], tid))
+                raise DuplicateAliasError(alias, (aliases[alias], tid), where)
             aliases[alias] = tid
 
     for alias, target in aliases.items():
         if alias in parents and alias != target:
-            raise DuplicateAliasError(alias, (alias, target))
+            raise DuplicateAliasError(alias, (alias, target), where)
     for t, ps in parents.items():
         for p in ps:
             if p not in parents:
-                raise DanglingEdgeError(t, p)
+                raise DanglingEdgeError(t, p, where)
 
     cycle = find_cycle(parents)
     if cycle is not None:
-        raise CycleDetectedError(cycle)
+        raise CycleDetectedError(cycle, where)
 
     parentless = sorted(t for t, ps in parents.items() if not ps)
     if root not in parents:
-        raise NoRootError(f"declared root {root!r} is not among the types")
+        raise NoRootError(f"{where}: declared root {root!r} is not among the types")
     if len(parentless) > 1:
-        raise MultipleRootsError(tuple(parentless))
+        raise MultipleRootsError(tuple(parentless), where)
     if parentless != [root]:
-        raise NoRootError(f"declared root {root!r} has parents; maximal node is {parentless[0]!r}")
+        raise NoRootError(
+            f"{where}: declared root {root!r} has parents; maximal node is {parentless[0]!r}"
+        )
 
     return TypeHierarchy(kind, root, parents, aliases)
 
@@ -359,9 +371,7 @@ def load_distances(doc, hierarchies: Hierarchies, where: str = "distances") -> D
         if kind is None:
             raise UnknownReferenceError(f"{path}: type {t1!r} is not declared in any hierarchy")
         h = hierarchies.for_kind(kind)
-        if t2 not in h:
-            raise UnknownReferenceError(f"{path}: type {t2!r} is not in the {kind} hierarchy")
-        table[DistanceModel.key(h.resolve(t1), h.resolve(t2))] = d
+        table[DistanceModel.key(h.resolve(t1), h.resolve_at(t2, path))] = d
     penalty = _non_negative(
         doc.get("generalization_penalty", 2.0), f"{where}.generalization_penalty"
     )

@@ -17,7 +17,7 @@ from recipegraph.acceptability import (
     load_acceptability,
 )
 from recipegraph.core import Recipe
-from recipegraph.errors import SchemaError, UnknownTypeError
+from recipegraph.errors import SchemaError, UnknownReferenceError, UnknownTypeError
 
 
 class TestCheckAcceptable:
@@ -139,7 +139,10 @@ class TestExpandTuples:
         assert not is_acceptable(finer, exact, hierarchies)
 
     def test_unknown_type_in_document(self, hierarchies):
-        with pytest.raises(UnknownTypeError):
+        with pytest.raises(
+            UnknownReferenceError,
+            match=r"^acceptability\.tuples\[0\]: type 'levitate' is not in the action hierarchy$",
+        ):
             load_acceptability({"tuples": [["carrot", "levitate", "soup"]]}, hierarchies)
 
     def test_unknown_text_in_a_hand_built_set_is_reported_when_its_action_is_reached(
@@ -159,6 +162,15 @@ class TestExpandTuples:
                 assert len(check_acceptable(recipe, near, hierarchies)) == 1
             exact = accept_set(near.tuples, policy="exact")
             assert len(check_acceptable(recipe, exact, hierarchies)) == 1
+
+    def test_an_unknown_policy_or_slot_is_a_value_error(self, hierarchies):
+        with pytest.raises(ValueError, match="unknown policy 'psychic'"):
+            accept_set([], policy="psychic")
+        tuples = accept_set([("carrot", "chop", "chopped carrot")])
+        with pytest.raises(ValueError, match="unknown policy 'psychic'"):
+            expand_tuples(tuples, hierarchies, policy="psychic")
+        with pytest.raises(ValueError, match="unknown slot 'flavour'"):
+            expand_tuples(tuples, hierarchies, policy="path-comparable", slots=("flavour",))
 
     def test_bad_policy_in_document(self, hierarchies):
         with pytest.raises(SchemaError):

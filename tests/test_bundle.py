@@ -121,6 +121,35 @@ class TestSchemaChecks:
         with pytest.raises(UnknownReferenceError):
             parse_bundle(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda doc: doc["recipes"][0]["typing"].update({"n1": "levitating onion"}),
+                "bundle.recipes[0].typing: type 'levitating onion' is not in the comestible hierarchy",
+            ),
+            (
+                lambda doc: doc["recipes"][0]["typing"].update({"ghost": "raw onion"}),
+                "bundle.recipes[0].typing: node 'ghost' is not in the recipe",
+            ),
+            (
+                lambda doc: doc["acceptability"]["tuples"].append(["nope", "fry", "fried onion"]),
+                "bundle.acceptability.tuples[0]: type 'nope' is not in the comestible hierarchy",
+            ),
+            (
+                lambda doc: doc["acceptability"]["tuples"].append(["raw onion", "nope", "fried onion"]),
+                "bundle.acceptability.tuples[0]: type 'nope' is not in the action hierarchy",
+            ),
+        ],
+        ids=["typing-type", "typing-node", "acceptability-comestible", "acceptability-action"],
+    )
+    def test_an_unknown_reference_is_located(self, edit, message):
+        doc = minimal_doc()
+        edit(doc)
+        with pytest.raises(UnknownReferenceError) as err:
+            parse_bundle(json.dumps(doc))
+        assert str(err.value) == message
+
     def test_an_escaped_surrogate_pair_loads_and_a_lone_one_in_a_key_does_not(self):
         assert read_json(b'{"\\ud83c\\udf45": ["\\ud83c\\udf45"]}', "doc") == {"\U0001f345": ["\U0001f345"]}
         with pytest.raises(SchemaError) as err:

@@ -109,6 +109,21 @@ class TestValidate:
         assert report["status"] == "error"
         assert report["diagnostics"][0].startswith("bundle.recipes[0].typing: ")
 
+    def test_a_hierarchy_fault_names_its_hierarchy_in_both_formats(self, capsys, tmp_path):
+        messages = []
+        for kind in ("action", "comestible"):
+            doc = json.loads(serialize_bundle(load_corpus()))
+            doc["hierarchies"][kind]["types"].append({"id": "x", "parents": ["y"]})
+            path = tmp_path / f"{kind}.json"
+            path.write_text(json.dumps(doc))
+            code, human, report = run_both(capsys, "validate", "-b", str(path))
+            message = f"bundle.hierarchies.{kind}: edge 'x' -> 'y' points outside the hierarchy"
+            assert code == 2
+            assert human == message + "\n"
+            assert report["diagnostics"] == [message]
+            messages.append(message)
+        assert messages[0] != messages[1]
+
     def test_missing_bundle_file_is_an_input_error(self, capsys):
         code, report = run_json(capsys, "validate", "-b", "/nonexistent/bundle.json")
         assert code == 2
@@ -340,6 +355,37 @@ class TestAcceptAndPlan:
         code, report = run_json(capsys, "accept", "fry-onion", "--accept-file", str(accept))
         assert code == 2
         assert report["diagnostics"][0].startswith(f"{accept}.tuples[0]: ")
+
+    def test_an_unknown_type_in_an_accept_file_is_located_in_both_formats(
+        self, capsys, tmp_path
+    ):
+        accept = tmp_path / "acc.json"
+        accept.write_text(json.dumps([["nope", "fry", "fried onion"]]))
+        code, human, report = run_both(capsys, "accept", "fry-onion", "--accept-file", str(accept))
+        message = f"{accept}.tuples[0]: type 'nope' is not in the comestible hierarchy"
+        assert code == 2
+        assert human == message + "\n"
+        assert report["diagnostics"] == [message]
+
+    def test_an_unknown_type_in_the_bundle_acceptability_is_located_in_both_formats(
+        self, capsys, tmp_path
+    ):
+        doc = json.loads(serialize_bundle(load_corpus()))
+        doc["acceptability"]["tuples"][0][0] = "nope"
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(doc))
+        code, human, report = run_both(capsys, "accept", "-b", str(path), "fry-onion")
+        message = "bundle.acceptability.tuples[0]: type 'nope' is not in the comestible hierarchy"
+        assert code == 2
+        assert human == message + "\n"
+        assert report["diagnostics"] == [message]
+
+    def test_plan_missing_an_unknown_type_is_an_input_error_in_both_formats(self, capsys):
+        code, human, report = run_both(capsys, "plan", "spaghetti-pasata", "--missing", "nope")
+        assert code == 2
+        assert human == "unknown type 'nope'\n"
+        assert report["status"] == "error"
+        assert report["diagnostics"] == ["unknown type 'nope'"]
 
     def test_substitute_rewrites_typing(self, capsys, bundle_path):
         code, report = run_json(

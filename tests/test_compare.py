@@ -94,6 +94,13 @@ class TestSubrecipe:
         assert candidate.graph.arcs == host.graph.arcs - {("x1", "y2")}
         assert not is_subrecipe(candidate, host)
 
+    def test_an_action_outside_the_host_disqualifies(self, corpus):
+        part = corpus.recipe("fry-onion-alt")
+        host = corpus.recipe("spaghetti-pasata")
+        assert part.graph.comestibles <= host.graph.comestibles
+        assert not part.graph.actions <= host.graph.actions
+        assert not is_subrecipe(part, host)
+
     def test_type_disagreement_disqualifies(self, corpus, hierarchies, induced):
         from recipegraph.typesubst import apply_substitution
 

@@ -203,6 +203,13 @@ class TestRolesAndOrder:
         with pytest.raises(UnknownNodeError):
             leq(corpus.recipe("boil-atomic"), "c1", "zz")
 
+    def test_an_unknown_node_has_no_type_and_no_order(self, corpus):
+        recipe = corpus.recipe("boil-atomic")
+        with pytest.raises(UnknownNodeError):
+            recipe.type_of("zz")
+        with pytest.raises(UnknownNodeError):
+            leq(recipe, "zz", "c1")
+
     def test_leq_is_a_partial_order(self, corpus):
         recipe = corpus.recipe("spaghetti-pasata")
         nodes = sorted(recipe.graph.nodes)

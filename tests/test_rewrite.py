@@ -92,6 +92,18 @@ class TestParallel:
         )
         assert not is_parallel(prep, flipped, host)
 
+    def test_producing_the_front_node_the_part_consumes_breaks_parallelism(
+        self, corpus, induced
+    ):
+        host = corpus.recipe("hummus")
+        blend = induced(host, {"c3", "a3", "c4"})
+        shortcut = corpus.recipe("hummus-canned-shortcut")
+        assert front(host, blend) == {"c3"}
+        assert not is_parallel(blend, shortcut, host)
+        result = structural_substitute(host, blend, shortcut, corpus.hierarchies)
+        assert isinstance(result, RewriteFailure)
+        assert "ii" in result.conditions
+
 
 class TestStructuralSubstitute:
     def test_canned_shortcut_replaces_the_prep_section(self, corpus, hummus_parts):
@@ -346,6 +358,23 @@ class TestSequences:
             max_steps=1500, budget=4000,
         )
         assert found == []
+
+    def test_library_search_rejects_an_inapplicable_primary(self, corpus):
+        bad = [RewriteStep(corpus.recipe("fry-onion"), corpus.recipe("fry-onion-alt"))]
+        with pytest.raises(RewriteFailureError):
+            search_secondary_steps(
+                corpus.recipe("hummus"), bad, [], corpus.acceptability, corpus.hierarchies
+            )
+
+    def test_library_search_on_an_acceptable_host_lists_the_empty_sequence_first(
+        self, corpus
+    ):
+        host = corpus.recipe("spaghetti-pasata")
+        library = [RewriteStep(corpus.recipe("fry-onion"), corpus.recipe("fry-onion-alt"))]
+        found = search_secondary_steps(
+            host, [], library, corpus.acceptability, corpus.hierarchies, max_steps=1
+        )
+        assert found == [()]
 
     @pytest.mark.parametrize("max_steps", [0, -1])
     def test_no_steps_tries_only_the_empty_sequence(self, corpus, hummus_parts, max_steps):

@@ -11,6 +11,8 @@ from recipegraph.errors import (
     DuplicateAliasError,
     MultipleRootsError,
     NoRootError,
+    SchemaError,
+    UnknownReferenceError,
     UnknownTypeError,
 )
 from recipegraph.typekb import DistanceModel, load_distances, load_hierarchy
@@ -124,6 +126,84 @@ class TestLoadHierarchy:
             load_hierarchy(doc)
         assert err.value.path == "hierarchy.types[1].id"
         assert err.value.reason == "duplicate type id 'f'"
+
+    @pytest.mark.parametrize(
+        "doc, path",
+        [([{"id": "top", "parents": []}], "hierarchy"), (hdoc([], kind="flavour"), "hierarchy.kind")],
+        ids=["not-an-object", "unknown-kind"],
+    )
+    def test_a_document_of_the_wrong_shape_is_a_located_schema_error(self, doc, path):
+        with pytest.raises(SchemaError) as err:
+            load_hierarchy(doc)
+        assert err.value.path == path
+
+    @pytest.mark.parametrize(
+        "types, root, error, text",
+        [
+            (
+                [{"id": "top", "parents": []}, {"id": "a", "parents": ["ghost"]}],
+                "top",
+                DanglingEdgeError,
+                "edge 'a' -> 'ghost' points outside the hierarchy",
+            ),
+            (
+                [
+                    {"id": "top", "parents": []},
+                    {"id": "a", "parents": ["top"], "aliases": ["also"]},
+                    {"id": "b", "parents": ["top"], "aliases": ["also"]},
+                ],
+                "top",
+                DuplicateAliasError,
+                "alias 'also' is claimed by more than one type: a, b",
+            ),
+            (
+                [
+                    {"id": "top", "parents": []},
+                    {"id": "a", "parents": ["top"], "aliases": ["b"]},
+                    {"id": "b", "parents": ["top"]},
+                ],
+                "top",
+                DuplicateAliasError,
+                "alias 'b' is claimed by more than one type: b, a",
+            ),
+            (
+                [{"id": "top", "parents": []}, {"id": "a", "parents": ["b"]}, {"id": "b", "parents": ["a"]}],
+                "top",
+                CycleDetectedError,
+                "hierarchy contains a cycle: a -> b -> a",
+            ),
+            (
+                [{"id": "top", "parents": []}, {"id": "stray", "parents": []}],
+                "top",
+                MultipleRootsError,
+                "hierarchy has multiple parentless nodes: stray, top",
+            ),
+            (
+                [{"id": "top", "parents": []}],
+                "zzz",
+                NoRootError,
+                "declared root 'zzz' is not among the types",
+            ),
+            (
+                [{"id": "top", "parents": []}, {"id": "a", "parents": ["top"]}],
+                "a",
+                NoRootError,
+                "declared root 'a' has parents; maximal node is 'top'",
+            ),
+        ],
+        ids=["dangling", "shared-alias", "alias-is-a-type-id", "cycle", "two-roots",
+             "root-not-a-type", "root-has-parents"],
+    )
+    def test_an_invariant_fault_starts_with_where_the_hierarchy_is(
+        self, types, root, error, text
+    ):
+        doc = hdoc(types, root=root)
+        with pytest.raises(error) as err:
+            load_hierarchy(doc)
+        assert str(err.value) == f"hierarchy: {text}"
+        with pytest.raises(error) as err:
+            load_hierarchy(doc, "bundle.hierarchies.comestible")
+        assert str(err.value) == f"bundle.hierarchies.comestible: {text}"
 
 
 class TestQueries:
@@ -251,6 +331,26 @@ class TestDistance:
 
         with pytest.raises(UnknownReferenceError):
             load_distances({"pairs": [["onion", "levitate", 0.5]]}, hierarchies)
+
+    def test_a_distances_document_of_the_wrong_shape_is_a_located_schema_error(
+        self, hierarchies
+    ):
+        with pytest.raises(SchemaError) as err:
+            load_distances("onion", hierarchies, "d.json")
+        assert err.value.path == "d.json"
+
+    @pytest.mark.parametrize(
+        "pair, message",
+        [
+            (["nope", "onion"], "type 'nope' is not declared in any hierarchy"),
+            (["onion", "nope"], "type 'nope' is not in the comestible hierarchy"),
+        ],
+        ids=["first", "second"],
+    )
+    def test_an_unknown_type_in_a_pair_is_located(self, hierarchies, pair, message):
+        with pytest.raises(UnknownReferenceError) as err:
+            load_distances([[*pair, 0.5]], hierarchies, "d.json")
+        assert str(err.value) == f"d.json.pairs[0]: {message}"
 
     def test_load_distances_accepts_a_bare_triple_list(self, hierarchies):
         model = load_distances([["onion", "carrot", 0.4]], hierarchies)

@@ -135,6 +135,16 @@ class TestCost:
         model = CostModel(distances=corpus.distances, aggregation="max")
         assert cost(pair, soup, model, hierarchies) == pytest.approx(0.5)
 
+    def test_a_binding_outside_the_recipe_costs_nothing(self, corpus, hierarchies):
+        pasta = corpus.recipe("spaghetti-pasata")
+        model = CostModel(distances=corpus.distances)
+        binding = {"c1": "tagliatelle", "zz": "rice"}
+        assert cost(binding, pasta, model, hierarchies) == pytest.approx(0.1)
+
+    def test_an_unknown_aggregation_is_a_value_error(self):
+        with pytest.raises(ValueError, match="unknown aggregation 'median'"):
+            CostModel(aggregation="median")
+
     def test_overlapping_pair_is_rejected(self):
         with pytest.raises(ValueError):
             SubstitutionPair.of({"c1": "rice"}, {"c1": "potato"})
