@@ -17,9 +17,6 @@ from .typekb import Hierarchies, TypeHierarchy
 
 POLICIES = ("exact", "path-comparable")
 
-# Slot names for restricting expansion to a subset of tuple positions.
-SLOTS = ("input", "action", "output")
-
 
 @dataclass(frozen=True)
 class AcceptTuple:
@@ -55,9 +52,6 @@ class AcceptabilitySet:
 
     def __contains__(self, triple: AcceptTuple) -> bool:
         return triple in self.tuples
-
-    def __len__(self) -> int:
-        return len(self.tuples)
 
 
 def accept_set(
@@ -261,45 +255,25 @@ def is_acceptable(
     return not check_acceptable(recipe, accepts, hierarchies)
 
 
-def expand_tuples(
-    accepts: AcceptabilitySet,
-    hierarchies: Hierarchies,
-    policy: str | None = None,
-    depth_limit: int | None = None,
-    slots: Iterable[str] = SLOTS,
-) -> AcceptabilitySet:
-    """Add every tuple comparable to a seed tuple within ``depth_limit`` steps.
+def expand_tuples(accepts: AcceptabilitySet, hierarchies: Hierarchies) -> AcceptabilitySet:
+    """Add every tuple comparable to a seed tuple within the set's ``depth_limit`` steps.
 
     Under the exact policy the set is returned unchanged. Expansion always
     derives from the seed tuples and unions into the existing ones, which
-    makes it monotone and idempotent at a fixed depth. ``slots`` restricts
-    which positions may vary; the others stay fixed at the seed's type.
+    makes it monotone and idempotent at a fixed depth.
     """
-    policy = accepts.policy if policy is None else policy
-    depth = accepts.depth_limit if depth_limit is None else depth_limit
-    if policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r}")
-    if policy == "exact":
+    if accepts.policy == "exact":
         return accepts
-    slots = tuple(slots)
-    for s in slots:
-        if s not in SLOTS:
-            raise ValueError(f"unknown slot {s!r}")
-
+    depth = accepts.depth_limit
     h_com, h_act = hierarchies.comestible, hierarchies.action
     generated: set[AcceptTuple] = set()
     assert accepts.seeds is not None
     for seed in accepts.seeds:
-        ins = h_com.comparable_within(seed.input, depth) if "input" in slots else {seed.input}
-        acts_ = h_act.comparable_within(seed.action, depth) if "action" in slots else {seed.action}
-        outs = h_com.comparable_within(seed.output, depth) if "output" in slots else {seed.output}
+        ins = h_com.comparable_within(seed.input, depth)
+        acts_ = h_act.comparable_within(seed.action, depth)
+        outs = h_com.comparable_within(seed.output, depth)
         for t1 in ins:
             for t2 in acts_:
                 for t3 in outs:
                     generated.add(AcceptTuple(t1, t2, t3))
-    return replace(
-        accepts,
-        tuples=accepts.tuples | frozenset(generated),
-        policy=policy,
-        depth_limit=depth,
-    )
+    return replace(accepts, tuples=accepts.tuples | frozenset(generated))

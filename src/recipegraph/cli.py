@@ -353,8 +353,10 @@ def cmd_rewrite_seq(args, ws: WorkspaceBundle, report: _Report) -> int:
                     insert=_recipe_ref(ws, sdoc["insert"]),
                 )
             )
+    check = plan.get("check_acceptability", False)
+    _check(isinstance(check, bool), f"{args.plan}.check_acceptability", "expected true or false")
     # read every input before applying, so that an input error reports no result
-    accepts = _accepts(ws, args) if args.accept_file or plan.get("check_acceptability") else None
+    accepts = _accepts(ws, args) if args.accept_file or check else None
     result = apply_sequence(host, steps, ws.hierarchies)
     if isinstance(result, OperationFailure):
         report.data = {
@@ -483,7 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "plan",
         help="JSON plan with primary/secondary step lists; the result is checked for "
-        "acceptability when the plan sets check_acceptability or --accept-file is given",
+        "acceptability when the plan's check_acceptability (true or false) is true or "
+        "--accept-file is given",
     )
     p.set_defaults(func=cmd_rewrite_seq)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .core import Recipe, roles
 from .errors import BudgetExceededError
-from .typekb import Hierarchies
+from .typekb import Hierarchies, topological_order
 
 DEFAULT_BUDGET = 10**6
 
@@ -112,14 +112,8 @@ def _classes(recipe: Recipe, typed: bool, intern: dict) -> dict[str, tuple[int, 
     seed = (lambda n: (g.kind_of(n), recipe.type_of(n))) if typed else g.kind_of
     succ, pred = g._adjacency
     nodes = g.nodes
-    waiting = {n: len(pred.get(n, ())) for n in nodes}
-    topo = [n for n, d in waiting.items() if not d]
-    for n in topo:  # grows while it is read
-        for t in succ.get(n, ()):
-            waiting[t] -= 1
-            if not waiting[t]:
-                topo.append(t)
-    up = {n: intern.setdefault((seed(n), None), len(intern)) for n in nodes if waiting[n]}
+    topo = topological_order(nodes, succ)
+    up = {n: intern.setdefault((seed(n), None), len(intern)) for n in nodes.difference(topo)}
     down = dict(up)
     for n in topo:
         key = (seed(n), tuple(sorted([up[p] for p in pred.get(n, ())])))

@@ -402,9 +402,9 @@ def assemble(
         return failure(tuple(replace(v, condition="result") for v in exc.violations))
 
 
-def roles(recipe: Recipe | RecipeGraph) -> RoleSets:
+def roles(recipe: Recipe) -> RoleSets:
     """Partition comestibles: inputs have no incoming arc, outputs no outgoing arc."""
-    graph = recipe.graph if isinstance(recipe, Recipe) else recipe
+    graph = recipe.graph
     succ, pred = graph._adjacency
     inputs = frozenset(c for c in graph.comestibles if c not in pred)
     outputs = frozenset(c for c in graph.comestibles if c not in succ)

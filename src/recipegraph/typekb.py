@@ -259,37 +259,47 @@ def load_hierarchy(doc: Mapping, where: str = "hierarchy") -> TypeHierarchy:
     return TypeHierarchy(kind, root, parents, aliases)
 
 
+def topological_order(nodes: Iterable[str], succ: Mapping[str, Iterable[str]]) -> list[str]:
+    """The ``nodes`` that no cycle reaches, each one after all of its predecessors.
+
+    ``succ.get(n, ())`` gives the successors of ``n``; successors outside
+    ``nodes`` are ignored. Kahn's peel places a node once every predecessor
+    is placed, so the nodes on a cycle, and those behind one, are left out.
+    """
+    waiting = dict.fromkeys(nodes, 0)
+    for n in waiting:
+        for t in succ.get(n, ()):
+            if t in waiting:
+                waiting[t] += 1
+    order = [n for n, d in waiting.items() if not d]
+    for n in order:  # grows while it is read
+        for t in succ.get(n, ()):
+            d = waiting.get(t)
+            if d is not None:
+                waiting[t] = d - 1
+                if d == 1:
+                    order.append(t)
+    return order
+
+
 def find_cycle(succ: Mapping[str, Iterable[str]]) -> tuple[str, ...] | None:
     """One directed cycle as a closed walk (first node repeated last), or None.
 
     ``succ`` maps every node to its successors; successors that are not keys
-    are ignored. Kahn's topological peel removes nodes with no remaining
-    predecessor. Every node it leaves has a predecessor among the survivors,
-    so walking predecessors from the least survivor must repeat a node.
+    are ignored. Every node that ``topological_order`` leaves out has a
+    predecessor among the others left out, so walking predecessors from the
+    least of them must repeat a node.
     """
-    indegree = dict.fromkeys(succ, 0)
-    for targets in succ.values():
-        for t in targets:
-            if t in indegree:
-                indegree[t] += 1
-    ready = [n for n, d in indegree.items() if d == 0]
-    while ready:
-        n = ready.pop()
-        del indegree[n]
-        for t in succ[n]:
-            if t in indegree:
-                indegree[t] -= 1
-                if indegree[t] == 0:
-                    ready.append(t)
-    if not indegree:
+    left = succ.keys() - topological_order(succ, succ)
+    if not left:
         return None
-    pred: dict[str, list[str]] = {n: [] for n in indegree}
-    for n in indegree:
+    pred: dict[str, list[str]] = {n: [] for n in left}
+    for n in left:
         for t in succ[n]:
             if t in pred:
                 pred[t].append(n)
     walk: dict[str, int] = {}
-    cur = min(indegree)
+    cur = min(left)
     while cur not in walk:
         walk[cur] = len(walk)
         cur = min(pred[cur])
@@ -328,7 +338,8 @@ class DistanceModel:
         return self._fallback(hierarchy, t1, t2)
 
     def _fallback(self, hierarchy: TypeHierarchy, t1: str, t2: str) -> float:
-        best = None
+        # every type climbs to the one root, so the two climbs always meet
+        best = math.inf
         up1 = hierarchy._up_from(t1)
         up2 = hierarchy._up_from(t2)
         for anc, d1 in up1.items():
@@ -336,10 +347,8 @@ class DistanceModel:
             if d2 is None:
                 continue
             cost = (d1 + d2) * self.step_cost + abs(d1 - d2) * self.generalization_penalty
-            if best is None or cost < best:
+            if cost < best:
                 best = cost
-        if best is None:  # unreachable in a rooted hierarchy
-            raise UnknownTypeError(t2, hierarchy.kind)
         return best / max(1, hierarchy.depth)
 
 

@@ -496,16 +496,13 @@ def resolve_unavailable(
     for mark in unavailable:
         if mark in recipe.graph.nodes:
             nodes.add(mark)
-            t = recipe.type_of(mark)
             h = hierarchies.for_kind(recipe.graph.kind_of(mark))
-            banned |= {t} | set(h.descendants(t))
+            banned |= h.descendants(recipe.type_of(mark))
             continue
         kind = hierarchies.kind_of_type(mark)
         if kind is None:
             raise UnknownTypeError(mark)
-        h = hierarchies.for_kind(kind)
-        t = h.resolve(mark)
-        unavailable_types = {t} | set(h.descendants(t))
+        unavailable_types = hierarchies.for_kind(kind).descendants(mark)
         banned |= unavailable_types
         for n in recipe.graph.nodes:
             if recipe.graph.kind_of(n) == kind and recipe.type_of(n) in unavailable_types:

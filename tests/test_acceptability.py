@@ -91,7 +91,8 @@ class TestExpandTuples:
         )
         shallow = expand_tuples(tuples, hierarchies)
         assert AcceptTuple("raw purple carrot", "chop", "chopped carrot") not in shallow
-        deep = expand_tuples(tuples, hierarchies, depth_limit=2)
+        deeper = accept_set(tuples.seeds, policy="path-comparable", depth_limit=2)
+        deep = expand_tuples(deeper, hierarchies)
         assert AcceptTuple("raw purple carrot", "chop", "chopped carrot") in deep
 
     def test_expansion_matches_exhaustive_enumeration(self, hierarchies):
@@ -111,14 +112,6 @@ class TestExpandTuples:
         assert once.tuples >= tuples.tuples
         twice = expand_tuples(once, hierarchies)
         assert twice == once
-
-    def test_slot_restriction(self, hierarchies):
-        tuples = accept_set(
-            [("carrot", "chop", "chopped carrot")], policy="path-comparable", depth_limit=1
-        )
-        only_actions = expand_tuples(tuples, hierarchies, slots=("action",))
-        assert AcceptTuple("carrot", "finely chop", "chopped carrot") in only_actions
-        assert AcceptTuple("raw carrot", "chop", "chopped carrot") not in only_actions
 
     def test_path_comparable_checking_without_pre_expansion(self, corpus, hierarchies):
         # a more specific action than the licensed one passes under the policy
@@ -166,11 +159,6 @@ class TestExpandTuples:
     def test_an_unknown_policy_or_slot_is_a_value_error(self, hierarchies):
         with pytest.raises(ValueError, match="unknown policy 'psychic'"):
             accept_set([], policy="psychic")
-        tuples = accept_set([("carrot", "chop", "chopped carrot")])
-        with pytest.raises(ValueError, match="unknown policy 'psychic'"):
-            expand_tuples(tuples, hierarchies, policy="psychic")
-        with pytest.raises(ValueError, match="unknown slot 'flavour'"):
-            expand_tuples(tuples, hierarchies, policy="path-comparable", slots=("flavour",))
 
     def test_bad_policy_in_document(self, hierarchies):
         with pytest.raises(SchemaError):

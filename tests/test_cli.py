@@ -733,6 +733,22 @@ class TestRewriteCommands:
             "recipe": recipe_doc(corpus.recipe("fry-onion")),
         }
 
+    def test_rewrite_seq_check_acceptability_must_be_true_or_false(self, capsys, tmp_path):
+        plan = tmp_path / "plan.json"
+        for value, want in [(False, 0), (True, 1), ("false", 2), (0, 2), (None, 2)]:
+            plan.write_text(json.dumps({"primary": [], "check_acceptability": value}))
+            code, human, report = run_both(capsys, "rewrite-seq", "fry-onion", str(plan))
+            assert code == want, value
+            if want == 2:
+                message = f"{plan}.check_acceptability: expected true or false"
+                assert human == message + "\n"
+                assert report["status"] == "error"
+                assert report["diagnostics"] == [message]
+                assert report["data"] == {}
+            else:
+                assert report["data"]["applied"] is True
+                assert ("acceptable" in report["data"]) == value
+
     def test_recipe_document_that_is_a_list_is_an_input_error(self, capsys, tmp_path):
         doc = tmp_path / "list.json"
         doc.write_text("[1, 2]")

@@ -328,18 +328,31 @@ class TestBijectionSearchMatchesReference:
         assert decided > 150  # positive answers beyond the 120 self-pairs
 
     def test_unvalidated_cyclic_graphs_keep_kinds(self):
-        # a four-cycle alternating kinds, rotatable by one step onto itself
-        def loop(c1, c2, a1, a2):
-            arcs = {(c1, a1), (a1, c2), (c2, a2), (a2, c1)}
-            graph = recipe_graph({c1, c2}, {a1, a2}, arcs)
-            return Recipe(graph, {c1: "x", c2: "x", a1: "y", a2: "y"})
+        # a four-cycle alternating kinds, rotatable by one step onto itself;
+        # ``around`` adds a prefix c0 -> a0 -> c1 before the cycle and a tail
+        # c2 -> a3 -> c3 behind it
+        def loop(c, a, around):
+            arcs = {(c[1], a[1]), (a[1], c[2]), (c[2], a[2]), (a[2], c[1])}
+            coms, acts = {c[1], c[2]}, {a[1], a[2]}
+            if around:
+                arcs |= {(c[0], a[0]), (a[0], c[1]), (c[2], a[3]), (a[3], c[3])}
+                coms |= {c[0], c[3]}
+                acts |= {a[0], a[3]}
+            typing = dict.fromkeys(coms, "x") | dict.fromkeys(acts, "y")
+            return Recipe(recipe_graph(coms, acts, arcs), typing)
 
-        r1, r2 = loop("c1", "c2", "a1", "a2"), loop("x1", "x2", "y1", "y2")
-        witness = isomorphic(r1, r2)
-        assert witness is not None
-        assert {witness[c] for c in r1.graph.comestibles} == r2.graph.comestibles
-        found = _reference_match_bijection(r1, r2, _Budget(100), lambda n, m: True)
-        assert witness.as_dict() == found
+        def names(prefix):
+            return {i: f"{prefix}{i}" for i in range(4)}
+
+        for around in (False, True):
+            r1 = loop(names("c"), names("a"), around)
+            r2 = loop(names("x"), names("y"), around)
+            witness = isomorphic(r1, r2)
+            assert witness is not None
+            assert {witness[c] for c in r1.graph.comestibles} == r2.graph.comestibles
+            found = _reference_match_bijection(r1, r2, _Budget(100), lambda n, m: True)
+            assert witness.as_dict() == found
+            assert equivalent(r1, r2) is not None
 
 
 def _split_and_rejoin(prefix: str, act: str, types: dict[str, str], hierarchies) -> Recipe:

@@ -15,7 +15,13 @@ from recipegraph.errors import (
     UnknownReferenceError,
     UnknownTypeError,
 )
-from recipegraph.typekb import DistanceModel, load_distances, load_hierarchy
+from recipegraph.typekb import (
+    DistanceModel,
+    bfs,
+    load_distances,
+    load_hierarchy,
+    topological_order,
+)
 
 
 def hdoc(types, root="top", kind="comestible"):
@@ -521,3 +527,28 @@ class TestDeepHierarchy:
         assert h.up_distance(leaf, root) == 9999
         # 9999 steps up at cost 1, plus 2 per level between the two endpoints
         assert DistanceModel().distance(h, leaf, root) == 3.0
+
+
+class TestTopologicalOrder:
+    def test_placed_nodes_follow_their_predecessors_and_cycles_stay_out(self):
+        rng = random.Random(19)
+        for _ in range(500):
+            nodes = [f"n{i}" for i in range(rng.randint(0, 9))]
+            succ = {n: rng.sample(nodes, rng.randint(0, min(3, len(nodes)))) for n in nodes}
+            order = topological_order(nodes, succ)
+            place = {n: i for i, n in enumerate(order)}
+            assert len(place) == len(order)
+            for n in order:
+                assert all(place[n] < place[t] for t in succ[n] if t in place), (succ, order)
+            # left out: the nodes on a cycle, and every node reachable from one
+            reach = {n: bfs(n, succ.__getitem__) for n in nodes}
+            on_cycle = {n for n in nodes if any(n in reach[t] for t in succ[n])}
+            behind = {t for n in on_cycle for t in reach[n]}
+            assert set(nodes) - place.keys() == behind, (succ, order)
+
+    def test_successors_outside_the_nodes_are_ignored(self):
+        # z -> a closes the cycle a -> z -> a only when z is one of the nodes
+        succ = {"a": ("b", "z"), "b": ("c",), "z": ("a",)}
+        assert topological_order(["a", "b", "c"], succ) == ["a", "b", "c"]
+        assert topological_order(["a", "b", "c", "z"], succ) == []
+        assert topological_order(["c", "b"], succ) == ["b", "c"]
