@@ -7,13 +7,13 @@ licensed triple also licenses nearby generalizations and specializations.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .core import Recipe
 from .errors import SchemaError
-from .typekb import Hierarchies, TypeHierarchy
+from .typekb import Hierarchies, TypeHierarchy, side_document
 
 POLICIES = ("exact", "path-comparable")
 
@@ -32,23 +32,15 @@ class AcceptTuple:
 
 @dataclass(frozen=True)
 class AcceptabilitySet:
-    """A finite set of acceptability tuples plus its matching policy.
-
-    ``seeds`` holds the tuples the set was originally declared with;
-    expansion derives new tuples from the seeds, so re-expanding at the same
-    depth never drifts further.
-    """
+    """A finite set of acceptability tuples plus its matching policy."""
 
     tuples: frozenset[AcceptTuple]
     policy: str = "exact"
     depth_limit: int = 1
-    seeds: frozenset[AcceptTuple] | None = None
 
     def __post_init__(self):
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}")
-        if self.seeds is None:
-            object.__setattr__(self, "seeds", self.tuples)
 
     def __contains__(self, triple: AcceptTuple) -> bool:
         return triple in self.tuples
@@ -74,16 +66,9 @@ def load_acceptability(
     Type texts are resolved to canonical ids. Faults of shape and unknown
     types are located under ``where``.
     """
-    if isinstance(doc, list):
-        doc = {"tuples": doc}
-    if not isinstance(doc, Mapping):
-        raise SchemaError(where, "expected an object or a list of triples")
-    raw = doc.get("tuples", [])
-    if not isinstance(raw, list):
-        raise SchemaError(f"{where}.tuples", "expected a list")
+    doc, items = side_document(doc, "tuples", where)
     tuples = []
-    for i, item in enumerate(raw):
-        path = f"{where}.tuples[{i}]"
+    for path, item in items:
         if not (isinstance(item, list) and len(item) == 3 and all(isinstance(t, str) for t in item)):
             raise SchemaError(path, "expected an [input, action, output] triple of type names")
         t1, t2, t3 = item
@@ -256,19 +241,18 @@ def is_acceptable(
 
 
 def expand_tuples(accepts: AcceptabilitySet, hierarchies: Hierarchies) -> AcceptabilitySet:
-    """Add every tuple comparable to a seed tuple within the set's ``depth_limit`` steps.
+    """The exact set that licenses what ``accepts`` licenses.
 
-    Under the exact policy the set is returned unchanged. Expansion always
-    derives from the seed tuples and unions into the existing ones, which
-    makes it monotone and idempotent at a fixed depth.
+    Under the exact policy the set is returned unchanged. Otherwise every
+    tuple comparable to one of its tuples within ``depth_limit`` steps is
+    added, and the result's policy is exact, so expanding it again returns it.
     """
     if accepts.policy == "exact":
         return accepts
     depth = accepts.depth_limit
     h_com, h_act = hierarchies.comestible, hierarchies.action
     generated: set[AcceptTuple] = set()
-    assert accepts.seeds is not None
-    for seed in accepts.seeds:
+    for seed in accepts.tuples:
         ins = h_com.comparable_within(seed.input, depth)
         acts_ = h_act.comparable_within(seed.action, depth)
         outs = h_com.comparable_within(seed.output, depth)
@@ -276,4 +260,4 @@ def expand_tuples(accepts: AcceptabilitySet, hierarchies: Hierarchies) -> Accept
             for t2 in acts_:
                 for t3 in outs:
                     generated.add(AcceptTuple(t1, t2, t3))
-    return replace(accepts, tuples=accepts.tuples | frozenset(generated))
+    return replace(accepts, tuples=accepts.tuples | frozenset(generated), policy="exact")

@@ -415,11 +415,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.set_defaults(accept_file=None, distances_file=None)
     accept_file = argparse.ArgumentParser(add_help=False)
     accept_file.add_argument(
-        "--accept-file", "--accept", dest="accept_file",
+        "--accept-file", dest="accept_file",
         help="acceptability document overriding the bundle's",
     )
     distances_file = argparse.ArgumentParser(add_help=False)
-    distances_file.add_argument("--distances-file", "--distances", dest="distances_file")
+    distances_file.add_argument("--distances-file", dest="distances_file")
 
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -178,8 +178,7 @@ def validate_recipe_graph(graph: RecipeGraph) -> list[Violation]:
 
     nodes = coms | acts
     if nodes:
-        succ = graph._adjacency[0]
-        cycle = find_cycle({n: succ.get(n, ()) for n in nodes})
+        cycle = find_cycle(nodes, graph._adjacency[0])
         if cycle:
             violations.append(Violation("3", "graph contains a cycle", nodes=cycle))
         component = _component(graph, min(nodes))

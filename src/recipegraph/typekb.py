@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Collection, Iterable, Mapping
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -242,7 +242,7 @@ def load_hierarchy(doc: Mapping, where: str = "hierarchy") -> TypeHierarchy:
             if p not in parents:
                 raise DanglingEdgeError(t, p, where)
 
-    cycle = find_cycle(parents)
+    cycle = find_cycle(parents, parents)
     if cycle is not None:
         raise CycleDetectedError(cycle, where)
 
@@ -282,20 +282,22 @@ def topological_order(nodes: Iterable[str], succ: Mapping[str, Iterable[str]]) -
     return order
 
 
-def find_cycle(succ: Mapping[str, Iterable[str]]) -> tuple[str, ...] | None:
-    """One directed cycle as a closed walk (first node repeated last), or None.
+def find_cycle(
+    nodes: Collection[str], succ: Mapping[str, Iterable[str]]
+) -> tuple[str, ...] | None:
+    """One directed cycle through ``nodes`` as a closed walk (first node repeated last), or None.
 
-    ``succ`` maps every node to its successors; successors that are not keys
-    are ignored. Every node that ``topological_order`` leaves out has a
-    predecessor among the others left out, so walking predecessors from the
-    least of them must repeat a node.
+    ``nodes`` and ``succ`` are read as ``topological_order`` reads them.
+    Every node that it leaves out has a predecessor among the others left
+    out, so walking predecessors from the least of them must repeat a node.
     """
-    left = succ.keys() - topological_order(succ, succ)
-    if not left:
+    order = topological_order(nodes, succ)
+    if len(order) == len(nodes):
         return None
+    left = set(nodes).difference(order)
     pred: dict[str, list[str]] = {n: [] for n in left}
     for n in left:
-        for t in succ[n]:
+        for t in succ.get(n, ()):
             if t in pred:
                 pred[t].append(n)
     walk: dict[str, int] = {}
@@ -352,6 +354,22 @@ class DistanceModel:
         return best / max(1, hierarchy.depth)
 
 
+def side_document(doc, key: str, where: str) -> tuple[Mapping, list[tuple[str, object]]]:
+    """The object of a side document and each element of its ``key`` list with its path.
+
+    A bare JSON array is shorthand for ``{key: array}``; a missing ``key``
+    reads as an empty list. Faults of shape are located under ``where``.
+    """
+    if isinstance(doc, list):
+        doc = {key: doc}
+    if not isinstance(doc, Mapping):
+        raise SchemaError(where, "expected an object or a list of triples")
+    items = doc.get(key, [])
+    if not isinstance(items, list):
+        raise SchemaError(f"{where}.{key}", "expected a list")
+    return doc, [(f"{where}.{key}[{i}]", item) for i, item in enumerate(items)]
+
+
 def load_distances(doc, hierarchies: Hierarchies, where: str = "distances") -> DistanceModel:
     """Parse a distance document ``{"pairs": [[t1, t2, d], ...], "generalization_penalty": x}``.
 
@@ -360,16 +378,9 @@ def load_distances(doc, hierarchies: Hierarchies, where: str = "distances") -> D
     ``step_cost`` and ``generalization_penalty`` must be finite non-negative
     numbers. Faults are located under ``where``.
     """
-    if isinstance(doc, list):
-        doc = {"pairs": doc}
-    if not isinstance(doc, Mapping):
-        raise SchemaError(where, "expected an object or a list of triples")
-    pairs = doc.get("pairs", [])
-    if not isinstance(pairs, list):
-        raise SchemaError(f"{where}.pairs", "expected a list")
+    doc, pairs = side_document(doc, "pairs", where)
     table: dict[tuple[str, str], float] = {}
-    for i, item in enumerate(pairs):
-        path = f"{where}.pairs[{i}]"
+    for path, item in pairs:
         if not (isinstance(item, list) and len(item) == 3):
             raise SchemaError(path, "expected a [t1, t2, d] triple")
         t1, t2, d = item

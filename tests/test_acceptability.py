@@ -91,7 +91,7 @@ class TestExpandTuples:
         )
         shallow = expand_tuples(tuples, hierarchies)
         assert AcceptTuple("raw purple carrot", "chop", "chopped carrot") not in shallow
-        deeper = accept_set(tuples.seeds, policy="path-comparable", depth_limit=2)
+        deeper = accept_set(tuples.tuples, policy="path-comparable", depth_limit=2)
         deep = expand_tuples(deeper, hierarchies)
         assert AcceptTuple("raw purple carrot", "chop", "chopped carrot") in deep
 
