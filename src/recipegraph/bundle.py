@@ -21,10 +21,16 @@ from .errors import SchemaError, UnknownReferenceError
 from .typekb import (
     DistanceModel,
     Hierarchies,
+    KINDS,
     TypeHierarchy,
+    check_keys,
     load_distances,
     load_hierarchy,
 )
+
+_BUNDLE_KEYS = frozenset({"hierarchies", "nodes", "recipes", "acceptability", "distances"})
+_HIERARCHIES_KEYS = frozenset(KINDS)
+_RECIPE_KEYS = frozenset({"id", "comestibles", "actions", "arcs", "typing"})
 
 
 @dataclass
@@ -90,9 +96,11 @@ def parse_bundle(data: bytes | str) -> WorkspaceBundle:
     """Parse and cross-check a bundle document."""
     doc = read_json(data, "bundle")
     _check(isinstance(doc, Mapping), "bundle", "expected an object")
+    check_keys(doc, _BUNDLE_KEYS, "bundle")
 
     hdoc = doc.get("hierarchies")
     _check(isinstance(hdoc, Mapping), "bundle.hierarchies", "expected an object")
+    check_keys(hdoc, _HIERARCHIES_KEYS, "bundle.hierarchies")
     _check("action" in hdoc and "comestible" in hdoc, "bundle.hierarchies", "must hold both kinds")
     for kind in ("action", "comestible"):
         _check(isinstance(hdoc[kind], Mapping), f"bundle.hierarchies.{kind}", "expected an object")
@@ -146,6 +154,7 @@ def check_recipe_doc(rdoc, path: str) -> tuple[list[str], list[str], list[Arc], 
     and type names are not looked up here.
     """
     _check(isinstance(rdoc, Mapping), path, "expected a recipe object")
+    check_keys(rdoc, _RECIPE_KEYS, path)
     coms = rdoc.get("comestibles", [])
     acts = rdoc.get("actions", [])
     arcs = rdoc.get("arcs", [])

@@ -50,10 +50,12 @@ from .rewrite import (
     structural_substitute,
     StructuralCostModel,
 )
-from .typekb import load_distances
+from .typekb import check_keys, load_distances
 from .typesubst import CostModel, apply_substitution, cost, preferred_pair
 
 OK, NEGATIVE, INPUT_ERROR, BUDGET = 0, 1, 2, 3
+_PLAN_KEYS = frozenset({"primary", "secondary", "check_acceptability"})
+_STEP_KEYS = frozenset({"remove", "insert"})
 _STATUS = {OK: "ok", NEGATIVE: "negative", INPUT_ERROR: "error", BUDGET: "budget"}
 
 
@@ -336,17 +338,17 @@ def cmd_rewrite_seq(args, ws: WorkspaceBundle, report: _Report) -> int:
     host = _recipe_ref(ws, args.recipe)
     plan = _read_json(args.plan)
     _check(isinstance(plan, dict), args.plan, "expected a plan object")
+    check_keys(plan, _PLAN_KEYS, args.plan)
     steps = []
     for phase in ("primary", "secondary"):
         sdocs = plan.get(phase, [])
         _check(isinstance(sdocs, list), f"{args.plan}.{phase}", "expected a list of steps")
         for i, sdoc in enumerate(sdocs):
-            _check(
-                isinstance(sdoc, dict)
-                and all(isinstance(sdoc.get(k), str) for k in ("remove", "insert")),
-                f"{args.plan}.{phase}[{i}]",
-                'expected {"remove": recipe, "insert": recipe}',
-            )
+            where = f"{args.plan}.{phase}[{i}]"
+            shape = 'expected {"remove": recipe, "insert": recipe}'
+            _check(isinstance(sdoc, dict), where, shape)
+            check_keys(sdoc, _STEP_KEYS, where)
+            _check(all(isinstance(sdoc.get(k), str) for k in _STEP_KEYS), where, shape)
             steps.append(
                 RewriteStep(
                     remove=_recipe_ref(ws, sdoc["remove"]),

@@ -138,6 +138,8 @@ def _match_bijection(
     order, so the witness is deterministic.
     """
     g1, g2 = r1.graph, r2.graph
+    g1._check_arcs()
+    g2._check_arcs()
     if (len(g1.comestibles), len(g1.actions), len(g1.arcs)) != (
         len(g2.comestibles), len(g2.actions), len(g2.arcs)
     ):

@@ -111,6 +111,24 @@ class RecipeGraph:
             {n: tuple(ss) for n, ss in pred.items()},
         )
 
+    @cached_property
+    def _arc_fault(self) -> Violation | None:
+        """The condition-2 violation of the arcs that do not join a comestible and an action."""
+        coms, acts = self.comestibles, self.actions
+        stray = tuple(
+            sorted(
+                (s, t)
+                for s, t in self.arcs
+                if not ((s in coms and t in acts) or (s in acts and t in coms))
+            )
+        )
+        return Violation("2", "arcs must join a comestible and an action", arcs=stray) if stray else None
+
+    def _check_arcs(self) -> None:
+        """Raise InvalidRecipeError with ``_arc_fault``, which a search would meet as an unknown node."""
+        if self._arc_fault:
+            raise InvalidRecipeError([self._arc_fault])
+
     def in_degree(self, n: str) -> int:
         return len(self._adjacency[1].get(n, ()))
 
@@ -146,7 +164,7 @@ def validate_recipe_graph(graph: RecipeGraph) -> list[Violation]:
     nodes or arcs, independently of the others where possible.
     """
     violations: list[Violation] = []
-    coms, acts, arcs = graph.comestibles, graph.actions, graph.arcs
+    coms, acts = graph.comestibles, graph.actions
 
     if not coms or not acts:
         missing = []
@@ -161,20 +179,8 @@ def validate_recipe_graph(graph: RecipeGraph) -> list[Violation]:
         violations.append(
             Violation("2", "node ids used as both kinds", nodes=tuple(sorted(overlap)))
         )
-    bad_arcs = tuple(
-        sorted(
-            (s, t)
-            for s, t in arcs
-            if not (
-                (s in coms and t in acts)
-                or (s in acts and t in coms)
-            )
-        )
-    )
-    if bad_arcs:
-        violations.append(
-            Violation("2", "arcs must join a comestible and an action", arcs=bad_arcs)
-        )
+    if graph._arc_fault:
+        violations.append(graph._arc_fault)
 
     nodes = coms | acts
     if nodes:

@@ -309,6 +309,8 @@ def structural_cost(
     the bipartite view behind both label terms). Every option tried costs
     one expansion of ``budget``; overspending raises BudgetExceededError.
     """
+    r1.graph._check_arcs()
+    r2.graph._check_arcs()
     if model is None:
         model = StructuralCostModel()
     w = model.edit_weight

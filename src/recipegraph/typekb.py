@@ -26,6 +26,9 @@ from .errors import (
 )
 
 KINDS = ("action", "comestible")
+_HIERARCHY_KEYS = frozenset({"kind", "root", "types"})
+_TYPE_KEYS = frozenset({"id", "parents", "aliases"})
+_DISTANCES_KEYS = frozenset({"pairs", "generalization_penalty", "step_cost"})
 
 def bfs(
     start: str, neighbours: Callable[[str], Iterable[str]], radius: int | None = None
@@ -191,17 +194,25 @@ class Hierarchies:
         return None
 
 
+def check_keys(doc: Mapping, allowed: frozenset[str], where: str) -> None:
+    """Raise a SchemaError at ``where`` naming the first key of ``doc`` outside ``allowed``."""
+    if not doc.keys() <= allowed:
+        key = next(k for k in doc if k not in allowed)
+        raise SchemaError(where, f"unknown key {key!r}")
+
+
 def load_hierarchy(doc: Mapping, where: str = "hierarchy") -> TypeHierarchy:
     """Build a validated hierarchy from its JSON document form.
 
     The document is ``{"kind", "root", "types": [{"id", "parents", "aliases"}]}``.
     Raises CycleDetectedError, MultipleRootsError, NoRootError,
     DanglingEdgeError, or DuplicateAliasError when the invariants fail, and
-    SchemaError when the document shape is wrong or a type id repeats; every
-    message starts with ``where``.
+    SchemaError when the document shape is wrong, holds an unknown key or
+    repeats a type id; every message starts with ``where``.
     """
     if not isinstance(doc, Mapping):
         raise SchemaError(where, "expected an object")
+    check_keys(doc, _HIERARCHY_KEYS, where)
     kind = doc.get("kind")
     if kind not in KINDS:
         raise SchemaError(f"{where}.kind", f"expected one of {KINDS}, got {kind!r}")
@@ -217,6 +228,8 @@ def load_hierarchy(doc: Mapping, where: str = "hierarchy") -> TypeHierarchy:
     for i, entry in enumerate(entries):
         if not isinstance(entry, Mapping):
             raise SchemaError(f"{where}.types[{i}]", "expected an object")
+        if not entry.keys() <= _TYPE_KEYS:  # the path is built only for the fault
+            check_keys(entry, _TYPE_KEYS, f"{where}.types[{i}]")
         tid = entry.get("id")
         if not isinstance(tid, str) or not tid:
             raise SchemaError(f"{where}.types[{i}].id", "expected a non-empty string")
@@ -354,16 +367,20 @@ class DistanceModel:
         return best / max(1, hierarchy.depth)
 
 
-def side_document(doc, key: str, where: str) -> tuple[Mapping, list[tuple[str, object]]]:
+def side_document(
+    doc, key: str, allowed: frozenset[str], where: str
+) -> tuple[Mapping, list[tuple[str, object]]]:
     """The object of a side document and each element of its ``key`` list with its path.
 
     A bare JSON array is shorthand for ``{key: array}``; a missing ``key``
-    reads as an empty list. Faults of shape are located under ``where``.
+    reads as an empty list. Faults of shape, and keys outside ``allowed``,
+    are located under ``where``.
     """
     if isinstance(doc, list):
         doc = {key: doc}
     if not isinstance(doc, Mapping):
         raise SchemaError(where, "expected an object or a list of triples")
+    check_keys(doc, allowed, where)
     items = doc.get(key, [])
     if not isinstance(items, list):
         raise SchemaError(f"{where}.{key}", "expected a list")
@@ -378,7 +395,7 @@ def load_distances(doc, hierarchies: Hierarchies, where: str = "distances") -> D
     ``step_cost`` and ``generalization_penalty`` must be finite non-negative
     numbers. Faults are located under ``where``.
     """
-    doc, pairs = side_document(doc, "pairs", where)
+    doc, pairs = side_document(doc, "pairs", _DISTANCES_KEYS, where)
     table: dict[tuple[str, str], float] = {}
     for path, item in pairs:
         if not (isinstance(item, list) and len(item) == 3):

@@ -200,6 +200,7 @@ class _RepairSpace(Mapping):
         exclude: Iterable[str] = (),
     ):
         graph = recipe.graph
+        graph._check_arcs()
         if candidates is None:
             self._nodes: Collection[str] = dict.fromkeys(sorted(graph.nodes))
             self._pool = _pool_rule(recipe, accepts, hierarchies, exclude=exclude)

@@ -113,6 +113,38 @@ class TestExpandTuples:
         twice = expand_tuples(once, hierarchies)
         assert twice == once
 
+    def test_an_expanded_set_is_exact_and_expands_to_itself(self, hierarchies):
+        tuples = accept_set(
+            [("carrot", "chop", "chopped carrot")], policy="path-comparable", depth_limit=2
+        )
+        expanded = expand_tuples(tuples, hierarchies)
+        assert expanded.policy == "exact"
+        assert expanded.depth_limit == 2
+        assert expand_tuples(expanded, hierarchies) is expanded
+
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    def test_an_expanded_set_licenses_what_its_source_licenses(self, corpus, hierarchies, depth):
+        # every one-node rebinding from the default candidates that stays a recipe
+        from recipegraph.errors import InvalidRecipeError
+        from recipegraph.typesubst import apply_substitution, default_candidates
+
+        source = accept_set(corpus.acceptability.tuples, policy="path-comparable", depth_limit=depth)
+        expanded = expand_tuples(source, hierarchies)
+        checked = 0
+        for rid in corpus.recipe_ids():
+            recipe = corpus.recipe(rid)
+            for n, types in default_candidates(recipe, corpus.acceptability, hierarchies).items():
+                for t in types:
+                    try:
+                        r = apply_substitution(recipe, {n: t}, hierarchies)
+                    except InvalidRecipeError:
+                        continue
+                    checked += 1
+                    assert check_acceptable(r, expanded, hierarchies) == check_acceptable(
+                        r, source, hierarchies
+                    ), (rid, n, t)
+        assert checked == 2345
+
     def test_path_comparable_checking_without_pre_expansion(self, corpus, hierarchies):
         # a more specific action than the licensed one passes under the policy
         from recipegraph.typesubst import apply_substitution

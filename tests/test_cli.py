@@ -773,6 +773,125 @@ class TestRewriteCommands:
         assert report["diagnostics"] == [f"{plan}: expected a plan object"]
 
 
+def _renamed(obj: dict, old: str, new: str) -> None:
+    """Rename the key ``old`` of ``obj`` in place, keeping its place in document order."""
+    items = [(new if k == old else k, v) for k, v in obj.items()]
+    obj.clear()
+    obj.update(items)
+
+
+# (bundle edit, located message) per kind of object in a bundle
+BUNDLE_KEY_FAULTS = {
+    "bundle": (lambda d: _renamed(d, "distances", "distance"), "bundle: unknown key 'distance'"),
+    "hierarchies": (
+        lambda d: d["hierarchies"].update(actions={}),
+        "bundle.hierarchies: unknown key 'actions'",
+    ),
+    "hierarchy": (
+        lambda d: _renamed(d["hierarchies"]["comestible"], "root", "roots"),
+        "bundle.hierarchies.comestible: unknown key 'roots'",
+    ),
+    "type-entry": (
+        lambda d: _renamed(d["hierarchies"]["action"]["types"][1], "parents", "parent"),
+        "bundle.hierarchies.action.types[1]: unknown key 'parent'",
+    ),
+    "recipe": (
+        lambda d: _renamed(d["recipes"][0], "arcs", "arc"),
+        "bundle.recipes[0]: unknown key 'arc'",
+    ),
+    "acceptability": (
+        lambda d: d["acceptability"].update(polcy="exact"),
+        "bundle.acceptability: unknown key 'polcy'",
+    ),
+    "distances": (
+        lambda d: d["distances"].update(step=1.0),
+        "bundle.distances: unknown key 'step'",
+    ),
+}
+
+# (argv with {file} for the side file, side document, message after the file name)
+FILE_KEY_FAULTS = {
+    "recipe": (
+        ["roles", "{file}"],
+        {"comestibles": ["c1"], "actions": [], "arc": [], "typing": {}},
+        ": unknown key 'arc'",
+    ),
+    "accept-file": (
+        ["accept", "fry-onion", "--accept-file", "{file}"],
+        {"tuples": [], "polcy": "exact"},
+        ": unknown key 'polcy'",
+    ),
+    "accept-file-first-of-two": (
+        ["accept", "fry-onion", "--accept-file", "{file}"],
+        {"zz": 1, "tuples": [], "aa": 2},
+        ": unknown key 'zz'",
+    ),
+    "distances-file": (
+        ["plan", "spaghetti-pasata", "--missing", "spaghetti", "--distances-file", "{file}"],
+        {"tuples": []},
+        ": unknown key 'tuples'",
+    ),
+    "plan": (
+        ["rewrite-seq", "fry-onion", "{file}"],
+        {"primary": [], "check_acceptibility": True},
+        ": unknown key 'check_acceptibility'",
+    ),
+    "plan-step": (
+        ["rewrite-seq", "hummus", "{file}"],
+        {"primary": [{"remove": "fry-onion", "insrt": "fry-onion-alt"}]},
+        ".primary[0]: unknown key 'insrt'",
+    ),
+}
+
+
+class TestUnknownKeys:
+    @pytest.mark.parametrize("kind", list(BUNDLE_KEY_FAULTS))
+    def test_an_unknown_key_in_a_bundle_is_located(self, capsys, tmp_path, kind):
+        edit, message = BUNDLE_KEY_FAULTS[kind]
+        doc = json.loads(serialize_bundle(load_corpus()))
+        edit(doc)
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(doc))
+        code, human, report = run_both(capsys, "validate", "-b", str(path))
+        assert code == 2
+        assert human == message + "\n"
+        assert report["status"] == "error"
+        assert report["diagnostics"] == [message]
+
+    @pytest.mark.parametrize("kind", list(FILE_KEY_FAULTS))
+    def test_an_unknown_key_in_a_side_file_is_located(self, capsys, tmp_path, kind):
+        argv, doc, located = FILE_KEY_FAULTS[kind]
+        side = tmp_path / "side.json"
+        side.write_text(json.dumps(doc))
+        argv = [str(side) if a == "{file}" else a for a in argv]
+        code, human, report = run_both(capsys, *argv)
+        assert code == 2
+        assert human == f"{side}{located}\n"
+        assert report["status"] == "error"
+        assert report["data"] == {}
+        assert report["diagnostics"] == [f"{side}{located}"]
+
+
+class TestOptionSpellings:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["accept", "fry-onion", "--accept", "{file}"],
+            ["plan", "spaghetti-pasata", "--missing", "spaghetti", "--distances", "{file}"],
+        ],
+        ids=["accept", "distances"],
+    )
+    def test_a_prefix_of_a_file_option_reads_as_the_option(self, capsys, tmp_path, argv):
+        # an empty side document: no tuples, or the default distances
+        side = tmp_path / "side.json"
+        side.write_text("[]")
+        full = [str(side) if a == "{file}" else a for a in argv]
+        long = [a + "-file" if a in ("--accept", "--distances") else a for a in full]
+        assert run_both(capsys, *full) == run_both(capsys, *long)
+        parsed = build_parser().parse_args(full)
+        assert (parsed.accept_file or parsed.distances_file) == str(side)
+
+
 class TestUnreadableFiles:
     @pytest.mark.parametrize(
         "argv",

@@ -6,7 +6,9 @@ import pytest
 
 import recgen
 
+from recipegraph.compare import equivalent, isomorphic, more_specific
 from recipegraph.core import (
+    Recipe,
     build_recipe,
     inputs_types,
     is_atomic,
@@ -19,7 +21,9 @@ from recipegraph.core import (
     validate_recipe_graph,
 )
 from recipegraph.errors import InvalidRecipeError, UnknownNodeError
+from recipegraph.rewrite import structural_cost
 from recipegraph.typekb import Hierarchies, load_hierarchy
+from recipegraph.typesubst import CostModel, find_secondary, preferred_pair, substitution_to
 
 
 def conditions(violations):
@@ -396,3 +400,33 @@ class TestMakeRecipeAgreesWithTypingViolations:
                 assert list(got.items()) == list(resolve.items())
                 made += 1
         assert made > 50 and failed > 50
+
+
+# Every search over a recipe, each run on the recipe given twice where it takes two.
+SEARCHES = {
+    "isomorphic": lambda r, ws: isomorphic(r, r),
+    "equivalent": lambda r, ws: equivalent(r, r),
+    "more_specific": lambda r, ws: more_specific(r, r, ws.hierarchies),
+    "substitution_to": lambda r, ws: substitution_to(r, r),
+    "structural_cost": lambda r, ws: structural_cost(r, r, ws.hierarchies),
+    "find_secondary": lambda r, ws: find_secondary(r, {}, ws.acceptability, ws.hierarchies),
+    "preferred_pair": lambda r, ws: preferred_pair(
+        r, ["c1"], ws.acceptability, CostModel(), ws.hierarchies
+    ),
+}
+
+
+class TestSearchesOnUnvalidatedRecipes:
+    @pytest.mark.parametrize("stray", [("a1", "zz"), ("zz", "c1")], ids=["to-zz", "from-zz"])
+    @pytest.mark.parametrize("search", list(SEARCHES))
+    def test_an_arc_outside_the_node_sets_is_condition_2(self, corpus, search, stray):
+        # fry-onion with one arc more; Recipe() itself validates nothing
+        arcs = {("c1", "a1"), ("a1", "c2"), stray}
+        typing = {"c1": "raw onion", "a1": "fry", "c2": "fried onion"}
+        recipe = Recipe(recipe_graph({"c1", "c2"}, {"a1"}, arcs), typing)
+        with pytest.raises(InvalidRecipeError) as err:
+            SEARCHES[search](recipe, corpus)
+        (violation,) = err.value.violations
+        assert violation.condition == "2"
+        assert violation.arcs == (stray,)
+        assert violation in validate_recipe_graph(recipe.graph)
