@@ -16,7 +16,7 @@ from .errors import SchemaError
 from .typekb import Hierarchies, TypeHierarchy, side_document
 
 POLICIES = ("exact", "path-comparable")
-_KEYS = frozenset({"tuples", "policy", "depth_limit"})
+_ACCEPTABILITY_KEYS = frozenset({"tuples", "policy", "depth_limit"})
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ def load_acceptability(
     Type texts are resolved to canonical ids. Faults of shape and unknown
     types are located under ``where``.
     """
-    doc, items = side_document(doc, "tuples", _KEYS, where)
+    doc, items = side_document(doc, "tuples", _ACCEPTABILITY_KEYS, where)
     tuples = []
     for path, item in items:
         if not (isinstance(item, list) and len(item) == 3 and all(isinstance(t, str) for t in item)):
