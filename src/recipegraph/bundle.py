@@ -125,6 +125,7 @@ def parse_bundle(data: bytes | str) -> WorkspaceBundle:
     for i, rdoc in enumerate(recipes_doc):
         path = f"bundle.recipes[{i}]"
         _check(isinstance(rdoc, Mapping), path, "expected an object")
+        check_keys(rdoc, _RECIPE_KEYS, path)
         rid = rdoc.get("id")
         _check(isinstance(rid, str) and rid, f"{path}.id", "expected a non-empty string")
         _check(rid not in raw_recipes, f"{path}.id", f"duplicate recipe id {rid!r}")

@@ -168,7 +168,7 @@ def structural_substitute(
         (host.graph.actions - part.graph.actions) | replacement.graph.actions,
         (host.graph.arcs - part.graph.arcs) | replacement.graph.arcs,
     )
-    typing = {n: host.type_of(n) for n in kept} | replacement.typing
+    typing = {n: t for n, t in host.typing.items() if n in kept} | replacement.typing
     # conditions i-v can hold while the assembly still breaks a structural
     # rule, e.g. when the part swallows a comestible the kept actions use
     return assemble(graph, typing, hierarchies, RewriteFailure)

@@ -250,10 +250,10 @@ def load_hierarchy(doc: Mapping, where: str = "hierarchy") -> TypeHierarchy:
     for alias, target in aliases.items():
         if alias in parents and alias != target:
             raise DuplicateAliasError(alias, (alias, target), where)
-    for t, ps in parents.items():
-        for p in ps:
-            if p not in parents:
-                raise DanglingEdgeError(t, p, where)
+    for entry, (t, ps) in zip(entries, parents.items()):
+        if not ps <= parents.keys():
+            p = next(p for p in entry["parents"] if p not in parents)  # in document order
+            raise DanglingEdgeError(t, p, where)
 
     cycle = find_cycle(parents, parents)
     if cycle is not None:

@@ -88,7 +88,8 @@ def substitution_to(
     """The substitution set that retypes ``r1`` to match ``r2`` along a bijection.
 
     Raises NotIsomorphicError when the graphs do not match. The returned set
-    binds exactly the nodes whose types differ from their image's.
+    binds exactly the nodes whose types differ from their image's, in sorted
+    node order.
     """
     if witness is None:
         witness = isomorphic(r1, r2, budget=budget)
@@ -97,7 +98,7 @@ def substitution_to(
     b = witness.as_dict()
     return {
         n: r2.type_of(b[n])
-        for n in r1.graph.nodes
+        for n in sorted(r1.graph.nodes)
         if r1.type_of(n) != r2.type_of(b[n])
     }
 
@@ -177,7 +178,7 @@ def _pool_rule(
     return pool
 
 
-class _RepairSpace(Mapping):
+class _RepairSpace:
     """The candidate space of one planner query, with what its repair searches share.
 
     It stands in for the candidate mapping: ``space[n]`` is the pool of
@@ -230,11 +231,8 @@ class _RepairSpace(Mapping):
     def __contains__(self, n) -> bool:
         return n in self._nodes
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._nodes)
-
-    def __len__(self) -> int:
-        return len(self._nodes)
+    def get(self, n: str, default=None):
+        return self[n] if n in self._nodes else default
 
     def resolved(self, n: str) -> list[tuple[str, str, frozenset[str] | None]]:
         """``(text, type, comparable types)`` per candidate of ``n`` naming a type of its kind.

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import importlib.util
 import json
 from pathlib import Path
 
@@ -21,7 +20,6 @@ from recipegraph.core import typing_violations, validate_recipe_graph
 from recipegraph.errors import SchemaError, UnknownReferenceError
 
 GOLDEN = Path(__file__).parent / "golden"
-BUILD_CORPUS = Path(__file__).resolve().parent.parent / "scripts" / "build_corpus.py"
 
 
 def minimal_doc(**overrides):
@@ -94,13 +92,6 @@ class TestRoundTrip:
         ws = parse_bundle(serialize_bundle(corpus))
         for rid in corpus.recipe_ids():
             assert ws.recipe(rid) == corpus.recipe(rid)
-
-    def test_build_script_rebuilds_the_shipped_corpus(self):
-        spec = importlib.util.spec_from_file_location("build_corpus", BUILD_CORPUS)
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
-        rebuilt = serialize_bundle(parse_bundle(canonical_json(script.build_doc())))
-        assert rebuilt == corpus_path().read_bytes()
 
 
 class TestSchemaChecks:

@@ -799,6 +799,10 @@ BUNDLE_KEY_FAULTS = {
         lambda d: _renamed(d["recipes"][0], "arcs", "arc"),
         "bundle.recipes[0]: unknown key 'arc'",
     ),
+    "recipe-id": (
+        lambda d: _renamed(d["recipes"][0], "id", "ID"),
+        "bundle.recipes[0]: unknown key 'ID'",
+    ),
     "acceptability": (
         lambda d: d["acceptability"].update(polcy="exact"),
         "bundle.acceptability: unknown key 'polcy'",

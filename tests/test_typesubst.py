@@ -800,3 +800,49 @@ class TestPoolsOnDemand:
                     budget=budget,
                 )
             assert len(built) <= most
+
+
+HASH_SEED_SCRIPT = """
+from recipegraph.bundle import load_corpus
+from recipegraph.compose import decompose
+from recipegraph.errors import DanglingEdgeError
+from recipegraph.rewrite import structural_substitute
+from recipegraph.typekb import load_hierarchy
+from recipegraph.typesubst import substitution_to
+
+ws = load_corpus()
+hummus = ws.recipe("hummus")
+piece = decompose(hummus, ws.hierarchies)[0]
+print(list(structural_substitute(hummus, piece, piece, ws.hierarchies).typing))
+print(list(substitution_to(ws.recipe("boil-atomic"), ws.recipe("bolognese-assembly"))))
+types = [{"id": "food"}, {"id": "x", "parents": ["food", "p", "q", "r"]}]
+try:
+    load_hierarchy({"kind": "comestible", "root": "food", "types": types})
+except DanglingEdgeError as exc:
+    print("dangling", exc.parent)
+"""
+
+
+def test_rewrite_substitution_and_dangling_parents_do_not_depend_on_the_hash_seed():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import recipegraph
+
+    src = str(Path(recipegraph.__file__).resolve().parents[1])
+    outputs = set()
+    for seed in ("0", "1", "2", "3", "4", "5"):
+        env = {
+            **os.environ,
+            "PYTHONHASHSEED": seed,
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        }
+        done = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_SCRIPT],
+            capture_output=True, env=env, timeout=60, check=True,
+        )
+        outputs.add(done.stdout)
+    assert len(outputs) == 1
+    assert outputs.pop().endswith(b"dangling p\n")
