@@ -112,20 +112,17 @@ def compose(
                 + tuple(r2.type_of(n) for n in disagree),
             )
         )
-    h_com = hierarchies.comestible
-    left = sorted(coms1 - roles1.outputs)
-    right = sorted(coms2 - roles2.inputs)
-    for n in left:
-        for m in right:
-            if h_com.comparable(r1.type_of(n), r2.type_of(m)):
-                violations.append(
-                    Violation(
-                        "6",
-                        "comparable comestible types outside the glue",
-                        nodes=(n, m),
-                        types=(r1.type_of(n), r2.type_of(m)),
-                    )
-                )
+    left = {n: r1.type_of(n) for n in coms1 - roles1.outputs}
+    right = {m: r2.type_of(m) for m in coms2 - roles2.inputs}
+    for n, m in hierarchies.comestible._comparable_pairs(left, right):
+        violations.append(
+            Violation(
+                "6",
+                "comparable comestible types outside the glue",
+                nodes=(n, m),
+                types=(left[n], right[m]),
+            )
+        )
     if violations:
         return CompositionFailure(tuple(violations))
 
@@ -202,9 +199,7 @@ def decompose(recipe: Recipe, hierarchies: Hierarchies) -> tuple[Recipe, ...]:
         ins = recipe.graph.predecessors(a)
         outs = recipe.graph.successors(a)
         comestibles = ins | outs
-        arcs = frozenset(
-            {(c, a) for c in ins} | {(a, c) for c in outs}
-        )
+        arcs = frozenset({(c, a) for c in ins} | {(a, c) for c in outs})
         graph = recipe_graph(comestibles, {a}, arcs)
         typing = {n: recipe.type_of(n) for n in sorted(comestibles | {a})}
         pieces.append(make_recipe(graph, typing, hierarchies))

@@ -18,7 +18,6 @@ node sets, arcs, and typing.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -334,26 +333,17 @@ def _resolve_typing(
             )
     violations += sorted(mistyped, key=lambda v: v.nodes)
 
-    # a comparable pair is found once, from the side whose type lies below:
-    # among its type's ancestors, or within the same type
-    by_type: dict[str, list[str]] = {}
-    for c in sorted(graph.comestibles & resolved.keys()):
-        by_type.setdefault(resolved[c], []).append(c)
-    pairs: list[tuple[str, str]] = []
-    for t, below in by_type.items():
-        pairs += itertools.combinations(below, 2)
-        for u in hierarchies.comestible.ancestors(t):
-            if u != t and u in by_type:
-                pairs += [(c1, c2) if c1 < c2 else (c2, c1) for c1 in below for c2 in by_type[u]]
-    for c1, c2 in sorted(pairs):
-        violations.append(
-            Violation(
-                "comparable",
-                "distinct comestibles with comparable types",
-                nodes=(c1, c2),
-                types=(resolved[c1], resolved[c2]),
-            )
+    typed = {c: resolved[c] for c in graph.comestibles & resolved.keys()}
+    violations += [
+        Violation(
+            "comparable",
+            "distinct comestibles with comparable types",
+            nodes=(c1, c2),
+            types=(typed[c1], typed[c2]),
         )
+        for c1, c2 in hierarchies.comestible._comparable_pairs(typed, typed)
+        if c1 < c2
+    ]
     return violations, resolved
 
 

@@ -146,20 +146,18 @@ def structural_substitute(
     # Condition v protects the typing rule of the result, which constrains
     # comestibles only: actions may share or refine each other's types freely
     # (a host with two equally typed actions must still satisfy R[R1/R1] = R).
-    h_com = hierarchies.comestible
-    for n in sorted(kept & host.graph.comestibles):
-        for m in sorted(replacement.graph.comestibles):
-            if n == m:
-                continue
-            if h_com.comparable(host.type_of(n), replacement.type_of(m)):
-                violations.append(
-                    Violation(
-                        "v",
-                        "kept comestible's type is comparable to an inserted one's",
-                        nodes=(n, m),
-                        types=(host.type_of(n), replacement.type_of(m)),
-                    )
-                )
+    kept_types = {n: host.type_of(n) for n in kept & host.graph.comestibles}
+    inserted = {m: replacement.type_of(m) for m in replacement.graph.comestibles}
+    violations += [
+        Violation(
+            "v",
+            "kept comestible's type is comparable to an inserted one's",
+            nodes=(n, m),
+            types=(kept_types[n], inserted[m]),
+        )
+        for n, m in hierarchies.comestible._comparable_pairs(kept_types, inserted)
+        if n != m
+    ]
     if violations:
         return RewriteFailure(tuple(violations))
 

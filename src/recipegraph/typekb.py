@@ -157,6 +157,23 @@ class TypeHierarchy:
             self._comparable[t, steps] = found
         return found
 
+    def _comparable_pairs(self, left: Mapping[str, str], right: Mapping[str, str]) -> list:
+        """Every ``(n, m)`` of a ``left`` and a ``right`` node with comparable types, sorted.
+
+        Both maps take nodes to type texts. Each left type walks its cached comparable set.
+        """
+        if not left or not right:
+            return []
+        by_type: dict[str, list[str]] = {}
+        for m, u in right.items():
+            by_type.setdefault(self.resolve(u), []).append(m)
+        pairs = []
+        for n, t in left.items():
+            for u in self.comparable_within(self.resolve(t)):
+                for m in by_type.get(u, ()):
+                    pairs.append((n, m))
+        return sorted(pairs)
+
     def relatives(self, t: str, radius: int) -> frozenset[str]:
         """Types within ``radius`` steps of ``t`` treating edges as undirected."""
         return frozenset(
