@@ -199,7 +199,9 @@ def decompose(recipe: Recipe, hierarchies: Hierarchies) -> tuple[Recipe, ...]:
         ins = recipe.graph.predecessors(a)
         outs = recipe.graph.successors(a)
         comestibles = ins | outs
-        arcs = frozenset({(c, a) for c in ins} | {(a, c) for c in outs})
+        arcs = frozenset(
+            {(c, a) for c in ins} | {(a, c) for c in outs}
+        )
         graph = recipe_graph(comestibles, {a}, arcs)
         typing = {n: recipe.type_of(n) for n in sorted(comestibles | {a})}
         pieces.append(make_recipe(graph, typing, hierarchies))

@@ -158,10 +158,7 @@ class TypeHierarchy:
         return found
 
     def _comparable_pairs(self, left: Mapping[str, str], right: Mapping[str, str]) -> list:
-        """Every ``(n, m)`` of a ``left`` and a ``right`` node with comparable types, sorted.
-
-        Both maps take nodes to type texts. Each left type walks its cached comparable set.
-        """
+        """Sorted ``(n, m)`` of ``left`` and ``right`` nodes whose type texts are comparable."""
         if not left or not right:
             return []
         by_type: dict[str, list[str]] = {}
@@ -169,7 +166,7 @@ class TypeHierarchy:
             by_type.setdefault(self.resolve(u), []).append(m)
         pairs = []
         for n, t in left.items():
-            for u in self.comparable_within(self.resolve(t)):
+            for u in self.comparable_within(t):
                 for m in by_type.get(u, ()):
                     pairs.append((n, m))
         return sorted(pairs)
