@@ -124,12 +124,11 @@ def parse_bundle(data: bytes | str) -> WorkspaceBundle:
     _check(isinstance(recipes_doc, list), "bundle.recipes", "expected a list")
     for i, rdoc in enumerate(recipes_doc):
         path = f"bundle.recipes[{i}]"
-        _check(isinstance(rdoc, Mapping), path, "expected an object")
-        check_keys(rdoc, _RECIPE_KEYS, path)
+        parts = check_recipe_doc(rdoc, path)
         rid = rdoc.get("id")
         _check(isinstance(rid, str) and rid, f"{path}.id", "expected a non-empty string")
         _check(rid not in raw_recipes, f"{path}.id", f"duplicate recipe id {rid!r}")
-        raw_recipes[rid] = _parse_recipe_doc(rdoc, path, registry, hierarchies)
+        raw_recipes[rid] = _parse_recipe_doc(rid, parts, path, registry, hierarchies)
 
     accept_doc = doc.get("acceptability", {"tuples": []})
     acceptability = load_acceptability(accept_doc, hierarchies, "bundle.acceptability")
@@ -174,9 +173,9 @@ def check_recipe_doc(rdoc, path: str) -> tuple[list[str], list[str], list[Arc], 
 
 
 def _parse_recipe_doc(
-    rdoc: Mapping, path: str, registry: Mapping[str, str], hierarchies: Hierarchies
+    rid: str, parts: tuple, path: str, registry: Mapping[str, str], hierarchies: Hierarchies
 ) -> RawRecipe:
-    coms, acts, arcs, typing = check_recipe_doc(rdoc, path)
+    coms, acts, arcs, typing = parts
     for kind, ids in (("comestible", coms), ("action", acts)):
         for n in ids:
             if n not in registry:
@@ -197,7 +196,7 @@ def _parse_recipe_doc(
             raise UnknownReferenceError(f"{where}: node {n!r} is not in the recipe")
         canonical_typing[n] = hierarchies.for_kind(registry[n]).resolve_at(t, where)
 
-    return RawRecipe(id=rdoc["id"], graph=recipe_graph(coms, acts, arcs), typing=canonical_typing)
+    return RawRecipe(id=rid, graph=recipe_graph(coms, acts, arcs), typing=canonical_typing)
 
 
 def hierarchy_doc(h: TypeHierarchy) -> dict:

@@ -876,6 +876,26 @@ class TestUnknownKeys:
         assert report["diagnostics"] == [f"{side}{located}"]
 
 
+class TestBundleRecipeEntries:
+    @pytest.mark.parametrize(
+        "entry, fault",
+        [
+            (["c1"], ": expected a recipe object"),
+            # the entry's shape is checked before its id
+            ({"id": 7, "comestibles": "c1"}, ".comestibles: expected a list of node ids"),
+        ],
+        ids=["not-an-object", "shape-before-id"],
+    )
+    def test_a_faulty_entry_is_reported_in_both_formats(self, capsys, tmp_path, entry, fault):
+        path = bundle_with(tmp_path, entry)
+        message = f"bundle.recipes[{len(load_corpus().recipe_ids())}]{fault}"
+        code, human, report = run_both(capsys, "validate", "-b", path)
+        assert code == 2
+        assert human == message + "\n"
+        assert report["status"] == "error"
+        assert report["diagnostics"] == [message]
+
+
 class TestOptionSpellings:
     @pytest.mark.parametrize(
         "argv",
