@@ -224,9 +224,10 @@ def search_secondary_steps(
 
     Tries every sequence of up to ``max_steps`` library steps after the
     primary sequence and returns those whose result is acceptable, shortest
-    first. Only user-supplied steps are considered; there is no synthesis of
-    replacement subrecipes from scratch. A ``max_steps`` of zero or less
-    tries only the empty sequence.
+    first; sequences of one length come in library order of their first
+    step, then of their second, and so on. Only user-supplied steps are
+    considered; there is no synthesis of replacement subrecipes from
+    scratch. A ``max_steps`` of zero or less tries only the empty sequence.
     """
     after_primary = apply_sequence(host, primary, hierarchies)
     if isinstance(after_primary, RewriteFailure):
@@ -256,7 +257,7 @@ def search_secondary_steps(
 
     for _ in _depth_first(max_steps, choices):
         pass
-    found.sort(key=lambda seq: (len(seq), [str(s) for s in seq]))
+    found.sort(key=len)
     return found
 
 

@@ -376,6 +376,18 @@ class TestSequences:
         )
         assert found == [()]
 
+    def test_library_search_keeps_library_order_within_a_length(self, corpus, induced):
+        # the first step's recipes have more nodes, which sorting the steps'
+        # text would put second
+        host = corpus.recipe("spaghetti-pasata")
+        sauce = induced(host, {"c3", "c4", "a2", "c5", "a4", "c7", "c8"})
+        heat = induced(host, {"c3", "c4", "a2", "c5"})
+        library = [RewriteStep(sauce, sauce), RewriteStep(heat, heat)]
+        found = search_secondary_steps(
+            host, [], library, corpus.acceptability, corpus.hierarchies, max_steps=1
+        )
+        assert found == [(), (library[0],), (library[1],)]
+
     @pytest.mark.parametrize("max_steps", [0, -1])
     def test_no_steps_tries_only_the_empty_sequence(self, corpus, hummus_parts, max_steps):
         host, prep, _ = hummus_parts
