@@ -253,7 +253,7 @@ class Recipe:
     def __hash__(self) -> int:
         return hash(self._key())
 
-    def __repr__(self) -> str:  # pragma: no cover
+    def __repr__(self) -> str:
         return (
             f"Recipe({len(self.graph.comestibles)} comestibles, "
             f"{len(self.graph.actions)} actions, {len(self.graph.arcs)} arcs)"

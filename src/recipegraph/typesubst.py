@@ -223,8 +223,6 @@ class _RepairSpace:
     def __getitem__(self, n: str) -> Sequence[str]:
         pool = self._pools.get(n)
         if pool is None:
-            if n not in self._nodes:
-                raise KeyError(n)
             pool = self._pools[n] = self._pool(n)
         return pool
 

@@ -619,6 +619,11 @@ class TestFinerGrainedClosedForm:
         least = min(coarse.graph.nodes)
         witness = finer_grained(fine, coarse)
         assert witness.forward == tuple((n, least) for n in sorted(fine.graph.nodes))
+        # a recipe built without validation may hold actions only; an empty
+        # one, aligned with it, has no node to map them to
+        actions_only = Recipe(recipe_graph((), {"a1"}, ()), {"a1": "boil"})
+        empty = Recipe(recipe_graph((), (), ()), {})
+        assert finer_grained(actions_only, empty) is None
 
     def test_the_budget_is_one_expansion_per_node(self, corpus):
         fine = corpus.recipe("spaghetti-pasata")

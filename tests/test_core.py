@@ -249,6 +249,14 @@ class TestRecipeValue:
         changed = apply_substitution(first, {"c1": "sliced onion"}, hierarchies)
         assert first != changed
 
+    def test_a_recipe_never_equals_a_value_of_another_type(self, corpus):
+        recipe = corpus.recipe("fry-onion")
+        assert (recipe == 0) is False
+        assert (recipe != "x") is True
+
+    def test_repr_gives_the_size(self, corpus):
+        assert repr(corpus.recipe("fry-onion")) == "Recipe(2 comestibles, 1 actions, 2 arcs)"
+
 
 def _reference_comparable_pairs(graph, typing, hierarchies):
     """The original all-pairs comparability loop over the resolvable comestibles."""

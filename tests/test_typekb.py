@@ -247,6 +247,11 @@ class TestQueries:
         with pytest.raises(UnknownTypeError):
             hierarchies.comestible.is_subtype("raw onion", "levitate")
 
+    def test_a_hierarchy_for_an_unknown_kind_raises(self, hierarchies):
+        assert hierarchies.for_kind("action") is hierarchies.action
+        with pytest.raises(ValueError):
+            hierarchies.for_kind("x")
+
     def test_subtype_transitive_on_sampled_triples(self, hierarchies):
         rng = random.Random(7)
         for h in (hierarchies.action, hierarchies.comestible):
