@@ -114,15 +114,15 @@ def compose(
         )
     left = {n: r1.type_of(n) for n in coms1 - roles1.outputs}
     right = {m: r2.type_of(m) for m in coms2 - roles2.inputs}
-    for n, m in hierarchies.comestible._comparable_pairs(left, right):
-        violations.append(
-            Violation(
-                "6",
-                "comparable comestible types outside the glue",
-                nodes=(n, m),
-                types=(left[n], right[m]),
-            )
+    violations += [
+        Violation(
+            "6",
+            "comparable comestible types outside the glue",
+            nodes=(n, m),
+            types=(left[n], right[m]),
         )
+        for n, m in hierarchies.comestible._comparable_pairs(left, right)
+    ]
     if violations:
         return CompositionFailure(tuple(violations))
 
