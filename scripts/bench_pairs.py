@@ -197,6 +197,8 @@ def main() -> int:
     parser.add_argument("--trace", action="store_true",
                         help="also run each side once traced on the first seed")
     args = parser.parse_args()
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
 
     root = Path(git(Path.cwd(), "rev-parse", "--show-toplevel").decode().strip())
     workdir = args.workdir or root / ".bench_build" / "pairs"

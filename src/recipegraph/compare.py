@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .core import Recipe, roles
 from .errors import BudgetExceededError
-from .typekb import Hierarchies, topological_order
+from .typekb import Hierarchies
 
 DEFAULT_BUDGET = 10**6
 
@@ -111,8 +111,7 @@ def _classes(recipe: Recipe, typed: bool, intern: dict) -> dict[str, tuple[int, 
     g = recipe.graph
     seed = (lambda n: (g.kind_of(n), recipe.type_of(n))) if typed else g.kind_of
     succ, pred = g._adjacency
-    nodes = g.nodes
-    topo = topological_order(nodes, succ)
+    nodes, topo = g.nodes, g._topo
     up = {n: intern.setdefault((seed(n), None), len(intern)) for n in nodes.difference(topo)}
     down = dict(up)
     for n in topo:

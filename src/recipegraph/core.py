@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import ClassVar, TypeVar
 
 from .errors import InvalidRecipeError, UnknownNodeError
-from .typekb import Hierarchies, bfs, find_cycle
+from .typekb import Hierarchies, bfs, find_cycle, topological_order
 
 Arc = tuple[str, str]
 
@@ -93,7 +93,7 @@ class RecipeGraph:
     actions: frozenset[str]
     arcs: frozenset[Arc]
 
-    @property
+    @cached_property
     def nodes(self) -> frozenset[str]:
         return self.comestibles | self.actions
 
@@ -109,6 +109,11 @@ class RecipeGraph:
             {n: tuple(ts) for n, ts in succ.items()},
             {n: tuple(ss) for n, ss in pred.items()},
         )
+
+    @cached_property
+    def _topo(self) -> list[str]:
+        """The nodes in topological order, less those on or behind a cycle."""
+        return topological_order(self.nodes, self._adjacency[0])
 
     @cached_property
     def _arc_fault(self) -> Violation | None:
@@ -181,10 +186,10 @@ def validate_recipe_graph(graph: RecipeGraph) -> list[Violation]:
     if graph._arc_fault:
         violations.append(graph._arc_fault)
 
-    nodes = coms | acts
+    nodes = graph.nodes
     if nodes:
-        cycle = find_cycle(nodes, graph._adjacency[0])
-        if cycle:
+        if len(graph._topo) < len(nodes):
+            cycle = find_cycle(nodes.difference(graph._topo), graph._adjacency[0])
             violations.append(Violation("3", "graph contains a cycle", nodes=cycle))
         component = _component(graph, min(nodes))
         if component != nodes:
@@ -229,6 +234,7 @@ class Recipe:
     def __init__(self, graph: RecipeGraph, typing: Mapping[str, str]):
         self.graph = graph
         self.typing = dict(typing)
+        # kept per recipe, not on the shared graph, so megabytes of reach sets die with the recipe
         self._reach: dict[str, frozenset[str]] | None = None
 
     def type_of(self, n: str) -> str:

@@ -269,9 +269,9 @@ def load_hierarchy(doc: Mapping, where: str = "hierarchy") -> TypeHierarchy:
             p = next(p for p in entry["parents"] if p not in parents)  # in document order
             raise DanglingEdgeError(t, p, where)
 
-    cycle = find_cycle(parents, parents)
-    if cycle is not None:
-        raise CycleDetectedError(cycle, where)
+    left = parents.keys() - topological_order(parents, parents)
+    if left:
+        raise CycleDetectedError(find_cycle(left, parents), where)
 
     parentless = sorted(t for t, ps in parents.items() if not ps)
     if root not in parents:
@@ -309,19 +309,14 @@ def topological_order(nodes: Iterable[str], succ: Mapping[str, Iterable[str]]) -
     return order
 
 
-def find_cycle(
-    nodes: Collection[str], succ: Mapping[str, Iterable[str]]
-) -> tuple[str, ...] | None:
-    """One directed cycle through ``nodes`` as a closed walk (first node repeated last), or None.
+def find_cycle(left: Collection[str], succ: Mapping[str, Iterable[str]]) -> tuple[str, ...]:
+    """One directed cycle through ``left`` as a closed walk (first node repeated last).
 
-    ``nodes`` and ``succ`` are read as ``topological_order`` reads them.
-    Every node that it leaves out has a predecessor among the others left
-    out, so walking predecessors from the least of them must repeat a node.
+    ``left`` is the non-empty set of nodes that ``topological_order`` left
+    out, read with the same ``succ``. Each of them has a predecessor among
+    the others, so walking predecessors from the least of them must repeat
+    a node.
     """
-    order = topological_order(nodes, succ)
-    if len(order) == len(nodes):
-        return None
-    left = set(nodes).difference(order)
     pred: dict[str, list[str]] = {n: [] for n in left}
     for n in left:
         for t in succ.get(n, ()):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -106,3 +108,15 @@ class TestJudgeWorkload:
         summary = script.judge_workload([HIGHER], runs)
         assert summary["wrong_answer_runs"] == {"base": 0, "change": 1}
         assert summary["regressed"] is True
+
+
+def test_fewer_than_one_pair_is_refused_before_anything_is_exported(tmp_path):
+    done = subprocess.run(
+        [sys.executable, str(BENCH_PAIRS), "--base", "HEAD", "--pairs", "0", "--label", "x",
+         "--out", str(tmp_path), "--workdir", str(tmp_path / "pairs")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2
+    assert "--pairs" in done.stderr
+    assert not (tmp_path / "pairs").exists()
+    assert list(tmp_path.iterdir()) == []
